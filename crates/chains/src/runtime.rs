@@ -75,6 +75,10 @@ pub struct IngressLoad {
     per_item: SimDuration,
     cap: f64,
     arrivals: VecDeque<(SimTime, u32)>,
+    /// Exact sum of the items in `arrivals`, kept in step with every push
+    /// and pop so `record` is O(1) amortized instead of re-summing the
+    /// window.
+    total: u64,
 }
 
 impl IngressLoad {
@@ -86,6 +90,7 @@ impl IngressLoad {
             per_item,
             cap,
             arrivals: VecDeque::new(),
+            total: 0,
         }
     }
 
@@ -100,15 +105,17 @@ impl IngressLoad {
     /// time and overestimate λ for the whole run.
     pub fn record(&mut self, now: SimTime, items: u32) -> f64 {
         self.arrivals.push_back((now, items));
-        while let Some(&(front, _)) = self.arrivals.front() {
+        self.total += items as u64;
+        while let Some(&(front, n)) = self.arrivals.front() {
             if now - front > self.window {
                 self.arrivals.pop_front();
+                self.total -= n as u64;
             } else {
                 break;
             }
         }
         let window_secs = self.window.as_secs_f64().min(now.as_secs_f64()).max(0.25);
-        let rate = self.arrivals.iter().map(|&(_, n)| n as u64).sum::<u64>() as f64 / window_secs;
+        let rate = self.total as f64 / window_secs;
         let utilization = (rate * self.per_item.as_secs_f64()).min(self.cap);
         1.0 / (1.0 - utilization)
     }
@@ -985,7 +992,7 @@ impl ChainRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use coconut_types::{ClientId, Payload, ThreadId};
+    use coconut_types::{ClientId, Payload, SimRng, ThreadId};
 
     fn rt() -> ChainRuntime {
         ChainRuntime::new(&SeedDeriver::new(42), &NetConfig::lan(), 4, 3)
@@ -1270,6 +1277,89 @@ mod tests {
             "floor applies after the window clamp: {slow} vs {expected}"
         );
         assert!(slow < 2.0, "pre-fix this hit the utilization cap");
+    }
+
+    /// The estimator as it was before the running total: evict with the
+    /// saturating `now - front`, then re-sum the whole window.
+    struct NaiveIngressLoad {
+        window: SimDuration,
+        per_item: SimDuration,
+        cap: f64,
+        arrivals: VecDeque<(SimTime, u32)>,
+    }
+
+    impl NaiveIngressLoad {
+        fn record(&mut self, now: SimTime, items: u32) -> f64 {
+            self.arrivals.push_back((now, items));
+            while let Some(&(front, _)) = self.arrivals.front() {
+                if now - front > self.window {
+                    self.arrivals.pop_front();
+                } else {
+                    break;
+                }
+            }
+            let window_secs = self.window.as_secs_f64().min(now.as_secs_f64()).max(0.25);
+            let rate =
+                self.arrivals.iter().map(|&(_, n)| n as u64).sum::<u64>() as f64 / window_secs;
+            let utilization = (rate * self.per_item.as_secs_f64()).min(self.cap);
+            1.0 / (1.0 - utilization)
+        }
+    }
+
+    #[test]
+    fn ingress_load_running_total_is_bit_identical_to_a_full_resum() {
+        // Seeded sequences that start inside the warm-up floor, arrive
+        // out of order, and record batches of very different sizes. Out
+        // of order is Corda's jittered arrivals: when `now` is earlier
+        // than the front's stamp, the saturating difference is zero, so
+        // the front and everything behind it stay in the window.
+        // Shapes are (window µs, per-item cost µs, cap): Sawtooth/Diem,
+        // Corda, and a window shorter than the warm-up floor.
+        let shapes = [
+            (2_000_000, 800, 0.9),
+            (1_000_000, 50, 0.95),
+            (100_000, 1_000, 0.9),
+        ];
+        for seed in 0..8u64 {
+            for &(window_us, per_item_us, cap) in &shapes {
+                let window = SimDuration::from_micros(window_us);
+                let per_item = SimDuration::from_micros(per_item_us);
+                let mut rng = SimRng::seed_from_u64(0x1A6E55 ^ seed);
+                let mut fast = IngressLoad::new(window, per_item, cap);
+                let mut naive = NaiveIngressLoad {
+                    window,
+                    per_item,
+                    cap,
+                    arrivals: VecDeque::new(),
+                };
+                let mut clock = rng.gen_range_inclusive(0, 200_000);
+                for step in 0..5_000 {
+                    // Mostly forward by up to 3 ms, sometimes a long idle
+                    // gap past the window, sometimes a step back in time.
+                    clock += match rng.gen_range_inclusive(0, 99) {
+                        0..=1 => rng.gen_range_inclusive(0, 3 * window.as_micros()),
+                        _ => rng.gen_range_inclusive(0, 3_000),
+                    };
+                    let now = if rng.gen_bool(0.2) {
+                        clock.saturating_sub(rng.gen_range_inclusive(0, 400_000))
+                    } else {
+                        clock
+                    };
+                    let items = match rng.gen_range_inclusive(0, 9) {
+                        0 => 0,
+                        1 => rng.gen_range_inclusive(1_000, u32::MAX as u64) as u32,
+                        _ => rng.gen_range_inclusive(1, 64) as u32,
+                    };
+                    let now = SimTime::from_micros(now);
+                    let (a, b) = (fast.record(now, items), naive.record(now, items));
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "seed {seed}, window {window}, step {step}: {a} vs {b}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -531,15 +531,20 @@ impl ChaosRun {
 /// What a pending client action is. Faults are not queued here: the
 /// [`FaultScheduler`] is drained before each action, so a fault at `t`
 /// always precedes a submission at `t`.
+///
+/// Each action names its transaction by original id and by schedule
+/// position. The derived order is part of the client's contract: at one
+/// instant timeouts run before submissions, then the lower `TxId` goes
+/// first. The position rides *after* the id so it never decides a tie.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Action {
     /// Check a transaction's finalization timeout (may schedule a re-send).
-    Timeout(TxId),
+    Timeout(TxId, u32),
     /// Send (or re-send) a transaction.
-    Submit(TxId),
+    Submit(TxId, u32),
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Track {
     created: SimTime,
     attempts: u32,
@@ -653,20 +658,23 @@ pub fn run_chaos_with_schedule(
     let bucket_len = SimDuration::from_secs(1);
     let n_buckets = (spec.windows.listen.as_secs_f64() / bucket_len.as_secs_f64()).ceil() as usize;
 
-    let mut tracks: HashMap<TxId, Track> = HashMap::with_capacity(schedule.len());
-    let mut originals: HashMap<TxId, TxId> = HashMap::new();
-    let mut payloads: HashMap<TxId, coconut_types::ClientTx> = HashMap::new();
+    // Per-transaction state by schedule position (`None` until its first
+    // send slot comes up), and every wire id sent so far — originals and
+    // derived retry ids alike — mapped back to that position.
+    let mut tracks: Vec<Option<Track>> = vec![None; schedule.len()];
+    let mut positions: HashMap<TxId, u32> = HashMap::with_capacity(schedule.len());
     let mut scheduler = FaultScheduler::new(plan.clone());
     let mut client_loss: Option<(f64, SimTime)> = None;
 
     // One queue of timed client actions; ties resolve fault < timeout <
-    // submit, then by insertion order via the sequence number.
+    // submit, then by original `TxId`, then by insertion order via the
+    // sequence number.
     let mut queue: BinaryHeap<Reverse<(SimTime, Action, u64)>> = BinaryHeap::new();
     let mut seq = 0u64;
-    for sched in schedule {
-        queue.push(Reverse((sched.at, Action::Submit(sched.tx.id()), seq)));
+    for (i, sched) in schedule.iter().enumerate() {
+        let i = u32::try_from(i).expect("schedule positions fit in u32");
+        queue.push(Reverse((sched.at, Action::Submit(sched.tx.id(), i), seq)));
         seq += 1;
-        payloads.insert(sched.tx.id(), sched.tx.clone());
     }
 
     let mut accounting = DeliveryAccounting {
@@ -679,8 +687,8 @@ pub fn run_chaos_with_schedule(
     let mut t_lrtx: Option<SimTime> = None;
 
     let harvest = |outcomes: Vec<coconut_types::TxOutcome>,
-                   tracks: &mut HashMap<TxId, Track>,
-                   originals: &HashMap<TxId, TxId>,
+                   tracks: &mut [Option<Track>],
+                   positions: &HashMap<TxId, u32>,
                    accounting: &mut DeliveryAccounting,
                    buckets: &mut [u64],
                    latencies: &mut Vec<f64>,
@@ -689,8 +697,10 @@ pub fn run_chaos_with_schedule(
             if !o.is_committed() || o.finalized_at > listen_end {
                 continue;
             }
-            let orig = originals.get(&o.tx).copied().unwrap_or(o.tx);
-            let Some(track) = tracks.get_mut(&orig) else {
+            let Some(track) = positions
+                .get(&o.tx)
+                .and_then(|&i| tracks[i as usize].as_mut())
+            else {
                 continue;
             };
             if track.confirmed {
@@ -714,7 +724,7 @@ pub fn run_chaos_with_schedule(
             harvest(
                 system.run_until(fat),
                 &mut tracks,
-                &originals,
+                &positions,
                 &mut accounting,
                 &mut buckets,
                 &mut latencies,
@@ -762,7 +772,7 @@ pub fn run_chaos_with_schedule(
         harvest(
             system.run_until(at),
             &mut tracks,
-            &originals,
+            &positions,
             &mut accounting,
             &mut buckets,
             &mut latencies,
@@ -770,14 +780,17 @@ pub fn run_chaos_with_schedule(
         );
 
         match action {
-            Action::Submit(orig) => {
-                let track = tracks.entry(orig).or_insert(Track {
-                    created: at,
-                    attempts: 0,
-                    accepted_once: false,
-                    last_was_client_lost: false,
-                    last_was_busy: false,
-                    confirmed: false,
+            Action::Submit(orig, i) => {
+                let track = tracks[i as usize].get_or_insert_with(|| {
+                    positions.insert(orig, i);
+                    Track {
+                        created: at,
+                        attempts: 0,
+                        accepted_once: false,
+                        last_was_client_lost: false,
+                        last_was_busy: false,
+                        confirmed: false,
+                    }
                 });
                 if track.confirmed {
                     continue; // confirmed while this retry was queued
@@ -786,7 +799,7 @@ pub fn run_chaos_with_schedule(
                 // deferred send is re-queued, not consumed.
                 if let Some(a) = aimd.as_mut() {
                     if at < a.gate {
-                        queue.push(Reverse((a.gate, Action::Submit(orig), seq)));
+                        queue.push(Reverse((a.gate, Action::Submit(orig, i), seq)));
                         seq += 1;
                         continue;
                     }
@@ -803,7 +816,7 @@ pub fn run_chaos_with_schedule(
                             .mul_f64(b.policy().jitter.max(0.0) * breaker_rng.gen_f64());
                         queue.push(Reverse((
                             b.retry_at().max(at) + jitter,
-                            Action::Submit(orig),
+                            Action::Submit(orig, i),
                             seq,
                         )));
                         seq += 1;
@@ -821,10 +834,10 @@ pub fn run_chaos_with_schedule(
                     accounting.retries += 1;
                     let derived =
                         TxId::new(orig.client(), orig.seq() | (track.attempts as u64) << 56);
-                    originals.insert(derived, orig);
+                    positions.insert(derived, i);
                     derived
                 };
-                let template = &payloads[&orig];
+                let template = &schedule[i as usize].tx;
                 let tx = coconut_types::ClientTx::new(
                     wire_id,
                     template.thread(),
@@ -839,7 +852,7 @@ pub fn run_chaos_with_schedule(
                         if policy.enabled() {
                             queue.push(Reverse((
                                 at + policy.finalization_timeout,
-                                Action::Timeout(orig),
+                                Action::Timeout(orig, i),
                                 seq,
                             )));
                             seq += 1;
@@ -862,7 +875,7 @@ pub fn run_chaos_with_schedule(
                     if policy.enabled() {
                         queue.push(Reverse((
                             at + policy.finalization_timeout,
-                            Action::Timeout(orig),
+                            Action::Timeout(orig, i),
                             seq,
                         )));
                         seq += 1;
@@ -885,7 +898,7 @@ pub fn run_chaos_with_schedule(
                         let delay = policy
                             .backoff(track.attempts, &mut backoff_rng)
                             .max(retry_after);
-                        queue.push(Reverse((at + delay, Action::Submit(orig), seq)));
+                        queue.push(Reverse((at + delay, Action::Submit(orig, i), seq)));
                         seq += 1;
                     }
                 } else if policy.enabled()
@@ -895,13 +908,13 @@ pub fn run_chaos_with_schedule(
                     // Rejected: a semantic refusal, not overload — the
                     // breaker ignores it.
                     let delay = policy.backoff(track.attempts, &mut backoff_rng);
-                    queue.push(Reverse((at + delay, Action::Submit(orig), seq)));
+                    queue.push(Reverse((at + delay, Action::Submit(orig, i), seq)));
                     seq += 1;
                 }
                 // else: terminal rejection, classified at the end.
             }
-            Action::Timeout(orig) => {
-                let track = tracks.get_mut(&orig).expect("timeout implies track");
+            Action::Timeout(orig, i) => {
+                let track = tracks[i as usize].as_mut().expect("timeout implies track");
                 if track.confirmed || track.attempts > policy.max_retries {
                     continue;
                 }
@@ -915,7 +928,7 @@ pub fn run_chaos_with_schedule(
                     continue;
                 }
                 let delay = policy.backoff(track.attempts, &mut backoff_rng);
-                queue.push(Reverse((at + delay, Action::Submit(orig), seq)));
+                queue.push(Reverse((at + delay, Action::Submit(orig, i), seq)));
                 seq += 1;
             }
         }
@@ -924,7 +937,7 @@ pub fn run_chaos_with_schedule(
     harvest(
         system.run_until(listen_end),
         &mut tracks,
-        &originals,
+        &positions,
         &mut accounting,
         &mut buckets,
         &mut latencies,
@@ -937,8 +950,8 @@ pub fn run_chaos_with_schedule(
     }
 
     // Terminal classification of everything unconfirmed.
-    for sched in schedule {
-        match tracks.get(&sched.tx.id()) {
+    for track in &tracks {
+        match track {
             // The client terminated before the send slot came up: the
             // transaction was never attempted, which is a distinct class
             // from a submission swallowed mid-fault.
@@ -1333,5 +1346,98 @@ mod tests {
             a.gate,
             SimTime::from_secs(2) + SimDuration::from_secs_f64(1.0 / a.rate)
         );
+    }
+
+    /// A system that sheds every submission with the same `Busy` hint and
+    /// records the order in which sends reach it.
+    struct BusyRecorder {
+        retry_after: SimDuration,
+        sends: Vec<(SimTime, TxId)>,
+    }
+
+    impl BlockchainSystem for BusyRecorder {
+        fn name(&self) -> &str {
+            "busy-recorder"
+        }
+
+        fn node_count(&self) -> u32 {
+            1
+        }
+
+        fn submit(
+            &mut self,
+            now: SimTime,
+            tx: coconut_types::ClientTx,
+        ) -> coconut_chains::SubmitOutcome {
+            self.sends.push((now, tx.id()));
+            coconut_chains::SubmitOutcome::Busy {
+                retry_after: self.retry_after,
+            }
+        }
+
+        fn run_until(&mut self, _deadline: SimTime) -> Vec<coconut_types::TxOutcome> {
+            Vec::new()
+        }
+
+        fn stats(&self) -> coconut_chains::SystemStats {
+            coconut_chains::SystemStats::default()
+        }
+    }
+
+    #[test]
+    fn same_instant_sends_go_in_tx_id_order_not_schedule_order() {
+        // A is scheduled at 0 and B at R, but B has the lower id. A's
+        // `Busy` answer holds its retry off until exactly R (the hint
+        // exceeds the backoff cap), so at R both sends are due: the lower
+        // `TxId` must reach the system first, whatever the schedule
+        // positions say.
+        use coconut_types::{ClientId, Payload, ThreadId};
+        let r = SimDuration::from_secs(1);
+        let tx = |seq: u64, at: SimTime| ScheduledTx {
+            at,
+            tx: coconut_types::ClientTx::single(
+                TxId::new(ClientId(0), seq),
+                ThreadId(0),
+                Payload::DoNothing,
+                at,
+            ),
+        };
+        let (a, b) = (TxId::new(ClientId(0), 7), TxId::new(ClientId(0), 3));
+        let schedule = [tx(7, SimTime::ZERO), tx(3, SimTime::ZERO + r)];
+        let policy = RetryPolicy {
+            max_retries: 1,
+            finalization_timeout: SimDuration::from_secs(60),
+            base_backoff: SimDuration::from_millis(10),
+            max_backoff: SimDuration::from_millis(100),
+            jitter: 0.0,
+        };
+        let mut sys = BusyRecorder {
+            retry_after: r,
+            sends: Vec::new(),
+        };
+        let spec = quick_spec(SystemKind::Fabric, 1.0);
+        let run = run_chaos_with_schedule(
+            &mut sys,
+            &spec,
+            &FaultPlan::new(),
+            &policy,
+            &ClientProtection::disabled(),
+            &schedule,
+            7,
+        );
+        let retry_of_a = TxId::new(ClientId(0), 7 | 2 << 56);
+        let retry_of_b = TxId::new(ClientId(0), 3 | 2 << 56);
+        let at_r = SimTime::ZERO + r;
+        assert_eq!(
+            sys.sends,
+            vec![
+                (SimTime::ZERO, a),
+                (at_r, b),
+                (at_r, retry_of_a),
+                (at_r + r, retry_of_b),
+            ]
+        );
+        assert_eq!(run.accounting.backpressured, 2);
+        assert!(run.accounting.is_complete());
     }
 }

@@ -3,10 +3,6 @@
 //! reconciliation, histogram accuracy), zero observable effect when
 //! disabled, and the ramp-to-saturation campaign with machine-checked
 //! verdicts and its golden pin.
-//!
-//! The full campaign is release-only — debug builds exercise the same
-//! machinery through system subsets, which the content-addressed cell
-//! seeds guarantee are byte-identical to the full campaign's cells.
 
 use std::collections::HashMap;
 
@@ -42,10 +38,6 @@ fn payload_for(kind: SystemKind) -> PayloadKind {
 /// backpressure, §5.6), Quorum in ordering (the block-period stall,
 /// §5.5). Machine-checked against the campaign, not eyeballed.
 #[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "saturation cells are release-only; CI runs them via cargo test --release"
-)]
 fn bottleneck_verdicts_match_paper_causes() {
     let r = bottleneck_for(
         &quick_cfg(),
@@ -291,13 +283,8 @@ fn golden_cfg() -> ExperimentConfig {
 }
 
 /// The bottleneck campaign's JSON, pinned byte-for-byte like the other
-/// campaigns. Runs in release builds only (CI runs the test suite in
-/// release; the full campaign is too slow unoptimized).
+/// campaigns, in debug builds too.
 #[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "full campaign is release-only; CI runs it via cargo test --release"
-)]
 fn bottleneck_campaign_json_matches_golden_file() {
     let rendered = bottleneck(&golden_cfg()).to_json();
     let golden = include_str!("golden/bottleneck_scale002_seed_c0c0.json");
