@@ -51,8 +51,9 @@
 //!   all       everything
 //!
 //! flags:
-//!   --scale X     window scale vs the paper's 300 s (default 0.1)
-//!   --reps N      repetitions (default 2; paper: 3)
+//!   --scale X     window scale vs the paper's 300 s, finite and > 0
+//!                 (default 0.1)
+//!   --reps N      repetitions, at least 1 (default 2; paper: 3)
 //!   --full        sweep the paper's full parameter grid
 //!   --paper       shorthand for --scale 1.0 --reps 3 --full
 //!   --seed S      root seed (default 0xC0C00717)
@@ -133,14 +134,16 @@ impl Cli {
                     cli.cfg.scale = args
                         .get(i + 1)
                         .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| die("--scale needs a number"));
+                        .filter(|s: &f64| s.is_finite() && *s > 0.0)
+                        .unwrap_or_else(|| die("--scale needs a positive finite number"));
                     i += 2;
                 }
                 "--reps" => {
                     cli.cfg.repetitions = args
                         .get(i + 1)
                         .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| die("--reps needs an integer"));
+                        .filter(|&r| r > 0)
+                        .unwrap_or_else(|| die("--reps needs a positive integer"));
                     i += 2;
                 }
                 "--seed" => {

@@ -164,17 +164,6 @@ impl Diem {
         self.expired
     }
 
-    /// Crashes a validator (fault injection). DiemBFT advances past dead
-    /// leaders via timeout certificates while 2f + 1 validators survive.
-    pub fn crash_validator(&mut self, node: NodeId) {
-        self.engine.crash(node);
-    }
-
-    /// Recovers a crashed validator at the highest known round.
-    pub fn recover_validator(&mut self, node: NodeId) {
-        self.engine.recover(node);
-    }
-
     /// Injects any validator spikes due before `deadline`.
     fn inject_spikes(&mut self, deadline: SimTime) {
         let Some(interval) = self.config.spike_interval else {
@@ -251,7 +240,7 @@ impl BlockchainSystem for Diem {
         if !self.rt.has_node(node) {
             return false;
         }
-        self.crash_validator(node);
+        self.engine.crash(node);
         true
     }
 
@@ -259,7 +248,7 @@ impl BlockchainSystem for Diem {
         if !self.rt.has_node(node) {
             return false;
         }
-        self.recover_validator(node);
+        self.engine.recover(node);
         true
     }
 

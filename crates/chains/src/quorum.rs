@@ -155,17 +155,6 @@ impl Quorum {
         self.stalled
     }
 
-    /// Crashes a validator (fault injection). IBFT keeps committing while
-    /// 2f + 1 validators survive; round changes skip dead proposers.
-    pub fn crash_validator(&mut self, node: NodeId) {
-        self.ibft.crash(node);
-    }
-
-    /// Recovers a crashed validator.
-    pub fn recover_validator(&mut self, node: NodeId) {
-        self.ibft.recover(node);
-    }
-
     fn exec_cost(&self, payload: &Payload) -> SimDuration {
         let kind = payload.kind();
         let reads = if kind.is_read() { 2 } else { 0 };
@@ -297,7 +286,7 @@ impl BlockchainSystem for Quorum {
         if !self.rt.has_node(node) {
             return false;
         }
-        self.crash_validator(node);
+        self.ibft.crash(node);
         true
     }
 
@@ -305,7 +294,7 @@ impl BlockchainSystem for Quorum {
         if !self.rt.has_node(node) {
             return false;
         }
-        self.recover_validator(node);
+        self.ibft.recover(node);
         true
     }
 

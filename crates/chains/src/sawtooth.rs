@@ -166,17 +166,6 @@ impl Sawtooth {
         self.aborted_batches
     }
 
-    /// Crashes a validator (fault injection). PBFT keeps committing while
-    /// 2f + 1 validators survive; view changes replace a dead primary.
-    pub fn crash_validator(&mut self, node: NodeId) {
-        self.pbft.crash(node);
-    }
-
-    /// Recovers a crashed validator.
-    pub fn recover_validator(&mut self, node: NodeId) {
-        self.pbft.recover(node);
-    }
-
     /// Validator queue occupancy in batches: batches waiting for a block
     /// plus batches whose execution has not finished by `now`. This is what
     /// Sawtooth's back-pressure looks at — blocks drain the *consensus*
@@ -336,7 +325,7 @@ impl BlockchainSystem for Sawtooth {
         if !self.rt.has_node(node) {
             return false;
         }
-        self.crash_validator(node);
+        self.pbft.crash(node);
         true
     }
 
@@ -344,7 +333,7 @@ impl BlockchainSystem for Sawtooth {
         if !self.rt.has_node(node) {
             return false;
         }
-        self.recover_validator(node);
+        self.pbft.recover(node);
         true
     }
 

@@ -16,12 +16,9 @@ use coconut_simnet::{FaultEvent, NetConfig, NetSim, NetStats, Topology};
 use coconut_types::{NodeId, SimDuration, SimRng, SimTime};
 
 use crate::liveness::{LivenessMonitor, LivenessReport};
-use crate::{BatchConfig, Command, CommittedBatch, CpuModel, Membership};
-
-/// Base chain-sync time for a joining witness plus a per-produced-block
-/// replay cost; the joiner is only scheduled for slots after this completes.
-const SYNC_BASE: SimDuration = SimDuration::from_millis(250);
-const SYNC_PER_BLOCK: SimDuration = SimDuration::from_millis(2);
+use crate::{
+    BatchConfig, Command, CommittedBatch, CpuModel, Membership, SYNC_BASE, SYNC_PER_BATCH,
+};
 
 /// DPoS messages: slot timers and block announcements.
 #[derive(Debug, Clone)]
@@ -259,7 +256,7 @@ impl DposCluster {
             return false;
         }
         self.syncing.insert(node);
-        let sync = SYNC_BASE + SYNC_PER_BLOCK * self.produced;
+        let sync = SYNC_BASE + SYNC_PER_BATCH * self.produced;
         self.net.timer(node, sync, DposMsg::SyncDone { node });
         true
     }
@@ -605,7 +602,7 @@ mod tests {
         // Produce some chain history first, then start the join.
         c.run_until(SimTime::from_secs(2));
         assert!(c.join(NodeId(3)));
-        let sync_deadline = c.now() + SYNC_BASE + SYNC_PER_BLOCK * c.blocks_produced();
+        let sync_deadline = c.now() + SYNC_BASE + SYNC_PER_BATCH * c.blocks_produced();
         for s in 50..80 {
             c.submit(tx(s));
         }

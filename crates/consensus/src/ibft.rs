@@ -17,57 +17,60 @@
 //! fault window is open, mirroring the PBFT engine: an equivocating
 //! proposer sends conflicting blocks for one height to disjoint halves of
 //! the honest validators, and a double-voting validator backs both with
-//! prepare and commit votes. The embedded [`SafetyMonitor`] counts
-//! observed misbehaviour and any invariant actually broken.
+//! prepare and commit votes. The embedded
+//! [`SafetyMonitor`](crate::SafetyMonitor) counts observed misbehaviour and
+//! any invariant actually broken.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 
-use coconut_simnet::{ByzantineBehaviour, FaultEvent, NetConfig, NetSim, NetStats, Topology};
 use coconut_types::{Hasher64, NodeId, SimDuration, SimTime};
 
-use crate::liveness::{LivenessMonitor, LivenessReport};
-use crate::safety::{ByzantineFlags, SafetyMonitor, SafetyReport, VotePhase};
-use crate::{bft_quorum, BatchConfig, Command, CommittedBatch, CpuModel, Membership};
+use crate::bft::{BftBuilder, BftCluster, Gate, Protocol, SIBLING_SALT};
+use crate::safety::VotePhase;
+use crate::{BatchConfig, Command, CommittedBatch};
 
-/// Base catch-up time a joiner spends before it may vote (state-transfer
-/// handshake), plus a per-committed-block transfer cost.
-const SYNC_BASE: SimDuration = SimDuration::from_millis(250);
-const SYNC_PER_BATCH: SimDuration = SimDuration::from_millis(2);
+use msg::IbftMsg;
 
-/// IBFT protocol messages and timers.
-#[derive(Debug, Clone)]
-enum IbftMsg {
-    /// Proposer cadence timer for a height/round.
-    ProposeTimer { height: u64, round: u64 },
-    /// Round-progress timer at a validator.
-    RoundTimeout { height: u64, round: u64 },
-    PrePrepare {
-        height: u64,
-        round: u64,
-        digest: u64,
-        batch: Vec<Command>,
-    },
-    Prepare {
-        epoch: u64,
-        height: u64,
-        round: u64,
-        digest: u64,
-        from: NodeId,
-    },
-    Commit {
-        epoch: u64,
-        height: u64,
-        round: u64,
-        digest: u64,
-        from: NodeId,
-    },
-    RoundChange {
-        height: u64,
-        round: u64,
-        from: NodeId,
-    },
-    /// A joiner's catch-up/state transfer finished: activate it.
-    SyncDone { node: NodeId },
+mod msg {
+    use coconut_types::NodeId;
+
+    use crate::Command;
+
+    /// IBFT protocol messages and timers.
+    #[derive(Debug, Clone)]
+    pub enum IbftMsg {
+        /// Proposer cadence timer for a height/round.
+        ProposeTimer { height: u64, round: u64 },
+        /// Round-progress timer at a validator.
+        RoundTimeout { height: u64, round: u64 },
+        PrePrepare {
+            height: u64,
+            round: u64,
+            digest: u64,
+            batch: Vec<Command>,
+        },
+        Prepare {
+            epoch: u64,
+            height: u64,
+            round: u64,
+            digest: u64,
+            from: NodeId,
+        },
+        Commit {
+            epoch: u64,
+            height: u64,
+            round: u64,
+            digest: u64,
+            from: NodeId,
+        },
+        RoundChange {
+            height: u64,
+            round: u64,
+            from: NodeId,
+        },
+        /// A joiner's catch-up/state transfer finished: activate it.
+        SyncDone { node: NodeId },
+    }
 }
 
 /// Per-(height, round) progress at one validator; vote tallies are kept per
@@ -83,159 +86,47 @@ struct SlotState {
     committed: bool,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default, Clone)]
 struct IbftNode {
     height: u64,
     round: u64,
     slots: HashMap<(u64, u64), SlotState>,
     round_change_votes: HashMap<(u64, u64), u32>,
     voted_round: HashMap<u64, u64>,
-    alive: bool,
 }
 
-impl IbftNode {
-    fn new() -> Self {
-        IbftNode {
-            height: 0,
-            round: 0,
-            slots: HashMap::new(),
-            round_change_votes: HashMap::new(),
-            voted_round: HashMap::new(),
-            alive: true,
+/// IBFT's settings and state: per-validator heights, rounds and slots, the
+/// chain's next height, Quorum's block period and round timeout, and
+/// whether empty blocks reach the caller.
+#[derive(Debug, Clone)]
+pub struct Ibft {
+    nodes: Vec<IbftNode>,
+    next_height: u64,
+    block_period: SimDuration,
+    round_timeout: SimDuration,
+    commit_quorum: HashMap<(u64, u64), Vec<(NodeId, SimTime)>>,
+    emit_empty_blocks: bool,
+    /// (height, round) → the conflicting sibling digest an equivocating
+    /// proposer broadcast alongside its real proposal.
+    equiv_sibling: HashMap<(u64, u64), u64>,
+}
+
+impl Default for Ibft {
+    fn default() -> Self {
+        Ibft {
+            nodes: Vec::new(),
+            next_height: 0,
+            block_period: SimDuration::from_secs(1),
+            round_timeout: SimDuration::from_secs(4),
+            commit_quorum: HashMap::new(),
+            emit_empty_blocks: true,
+            equiv_sibling: HashMap::new(),
         }
     }
 }
 
 /// Configuration for an [`IbftCluster`]; build with [`IbftCluster::builder`].
-#[derive(Debug, Clone)]
-pub struct IbftBuilder {
-    nodes: u32,
-    standby: u32,
-    topology: Option<Topology>,
-    net: NetConfig,
-    seed: u64,
-    batch: BatchConfig,
-    block_period: SimDuration,
-    round_timeout: SimDuration,
-    proc_per_msg: SimDuration,
-    proc_per_command: SimDuration,
-}
-
-impl IbftBuilder {
-    /// Node placement (defaults to one node per server).
-    pub fn topology(mut self, t: Topology) -> Self {
-        self.topology = Some(t);
-        self
-    }
-
-    /// Pre-provisions `k` standby validators (ids `nodes..nodes + k`) that
-    /// start outside the active membership and can be admitted at runtime
-    /// via [`IbftCluster::join`]. Default 0.
-    pub fn standby(mut self, k: u32) -> Self {
-        self.standby = k;
-        self
-    }
-
-    /// Network characteristics.
-    pub fn net(mut self, c: NetConfig) -> Self {
-        self.net = c;
-        self
-    }
-
-    /// RNG seed.
-    pub fn seed(mut self, s: u64) -> Self {
-        self.seed = s;
-        self
-    }
-
-    /// Maximum transactions per block.
-    pub fn batch(mut self, b: BatchConfig) -> Self {
-        self.batch = b;
-        self
-    }
-
-    /// Quorum's `istanbul.blockperiod`: minimum time between consecutive
-    /// blocks.
-    pub fn block_period(mut self, d: SimDuration) -> Self {
-        self.block_period = d;
-        self
-    }
-
-    /// Round-change timeout.
-    pub fn round_timeout(mut self, d: SimDuration) -> Self {
-        self.round_timeout = d;
-        self
-    }
-
-    /// Fixed CPU cost of handling any protocol message.
-    pub fn proc_per_msg(mut self, d: SimDuration) -> Self {
-        self.proc_per_msg = d;
-        self
-    }
-
-    /// Additional CPU cost per command in a proposal.
-    pub fn proc_per_command(mut self, d: SimDuration) -> Self {
-        self.proc_per_command = d;
-        self
-    }
-
-    /// Builds the cluster; the first proposal fires after one block period.
-    pub fn build(self) -> IbftCluster {
-        let n = self.nodes;
-        let total = n + self.standby;
-        let topology = self
-            .topology
-            .unwrap_or_else(|| Topology::round_robin(total, total));
-        assert_eq!(
-            topology.node_count(),
-            total,
-            "topology must cover baseline + standby nodes"
-        );
-        let mut net = NetSim::new(topology, self.net, self.seed);
-        net.timer(
-            NodeId(0),
-            self.block_period,
-            IbftMsg::ProposeTimer {
-                height: 0,
-                round: 0,
-            },
-        );
-        // Every validator watches height 0 so a dead first proposer is
-        // detected (Quorum keeps minting blocks via round changes).
-        for i in 0..n {
-            net.timer(
-                NodeId(i),
-                self.round_timeout,
-                IbftMsg::RoundTimeout {
-                    height: 0,
-                    round: 0,
-                },
-            );
-        }
-        IbftCluster {
-            nodes: (0..total).map(|_| IbftNode::new()).collect(),
-            membership: Membership::new(n, self.standby),
-            net,
-            cpu: CpuModel::new(total),
-            batch: self.batch,
-            pending: Vec::new(),
-            committed: Vec::new(),
-            next_height: 0,
-            block_period: self.block_period,
-            round_timeout: self.round_timeout,
-            proc_per_msg: self.proc_per_msg,
-            proc_per_command: self.proc_per_command,
-            commit_quorum: HashMap::new(),
-            emit_empty_blocks: true,
-            byz: vec![ByzantineFlags::default(); total as usize],
-            monitor: SafetyMonitor::new(bft_quorum(n)),
-            liveness: LivenessMonitor::default(),
-            equiv_sibling: HashMap::new(),
-            stale_epoch_rejections: 0,
-            committed_txs: BTreeSet::new(),
-        }
-    }
-}
+pub type IbftBuilder = BftBuilder<Ibft>;
 
 /// A simulated Istanbul BFT validator set.
 ///
@@ -253,284 +144,121 @@ impl IbftBuilder {
 /// let blocks = ibft.run_until(SimTime::from_secs(3));
 /// assert!(blocks.iter().any(|b| !b.commands.is_empty()));
 /// ```
-#[derive(Debug)]
-pub struct IbftCluster {
-    nodes: Vec<IbftNode>,
-    /// Epoch-versioned active membership over the provisioned universe.
-    membership: Membership,
-    net: NetSim<IbftMsg>,
-    cpu: CpuModel,
-    batch: BatchConfig,
-    pending: Vec<Command>,
-    committed: Vec<CommittedBatch>,
-    next_height: u64,
-    block_period: SimDuration,
-    round_timeout: SimDuration,
-    proc_per_msg: SimDuration,
-    proc_per_command: SimDuration,
-    commit_quorum: HashMap<(u64, u64), Vec<(NodeId, SimTime)>>,
-    emit_empty_blocks: bool,
-    /// Per-node Byzantine fault windows.
-    byz: Vec<ByzantineFlags>,
-    /// Message-level safety invariant checker.
-    monitor: SafetyMonitor,
-    /// Commit-cadence and round-change-storm liveness tracker.
-    liveness: LivenessMonitor,
-    /// (height, round) → the conflicting sibling digest an equivocating
-    /// proposer broadcast alongside its real proposal.
-    equiv_sibling: HashMap<(u64, u64), u64>,
-    /// Votes dropped because they carried a superseded membership epoch.
-    stale_epoch_rejections: u64,
-    /// Transactions already finalized, so a batch orphaned by a round or
-    /// epoch change is never re-proposed after its commands committed.
-    committed_txs: BTreeSet<u64>,
+pub type IbftCluster = BftCluster<Ibft>;
+
+impl IbftBuilder {
+    /// Quorum's `istanbul.blockperiod`: minimum time between consecutive
+    /// blocks.
+    pub fn block_period(mut self, d: SimDuration) -> Self {
+        self.proto.block_period = d;
+        self
+    }
+
+    /// Round-change timeout.
+    pub fn round_timeout(mut self, d: SimDuration) -> Self {
+        self.proto.round_timeout = d;
+        self
+    }
 }
 
-impl IbftCluster {
-    /// Starts building an IBFT cluster of `nodes` validators.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes` is zero.
-    pub fn builder(nodes: u32) -> IbftBuilder {
-        assert!(nodes > 0, "a cluster needs at least one node");
-        IbftBuilder {
-            nodes,
-            standby: 0,
-            topology: None,
-            net: NetConfig::lan(),
-            seed: 0,
-            batch: BatchConfig::new(1000, SimDuration::from_secs(1)),
-            block_period: SimDuration::from_secs(1),
-            round_timeout: SimDuration::from_secs(4),
-            proc_per_msg: SimDuration::from_micros(30),
-            proc_per_command: SimDuration::from_micros(4),
+impl Protocol for Ibft {
+    type Msg = IbftMsg;
+    const BATCH: BatchConfig = BatchConfig {
+        max_commands: 1000,
+        max_wait: SimDuration::from_secs(1),
+    };
+    const PROC_PER_MSG: SimDuration = SimDuration::from_micros(30);
+    const PROC_PER_COMMAND: SimDuration = SimDuration::from_micros(4);
+
+    /// The first proposal fires after one block period.
+    fn start(c: &mut IbftCluster) {
+        c.proto.nodes = vec![IbftNode::default(); c.alive.len()];
+        c.net.timer(
+            NodeId(0),
+            c.proto.block_period,
+            IbftMsg::ProposeTimer {
+                height: 0,
+                round: 0,
+            },
+        );
+        // Every validator watches height 0 so a dead first proposer is
+        // detected (Quorum keeps minting blocks via round changes).
+        for i in 0..c.membership.active_count() {
+            c.net.timer(
+                NodeId(i),
+                c.proto.round_timeout,
+                IbftMsg::RoundTimeout {
+                    height: 0,
+                    round: 0,
+                },
+            );
         }
     }
 
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.net.now()
-    }
-
-    /// Number of validators.
-    pub fn node_count(&self) -> u32 {
-        self.nodes.len() as u32
-    }
-
-    /// Whether empty blocks are emitted to the caller (Quorum's behaviour).
-    /// Disable to only surface non-empty blocks.
-    pub fn set_emit_empty_blocks(&mut self, emit: bool) {
-        self.emit_empty_blocks = emit;
-    }
-
-    /// Network counters.
-    pub fn net_stats(&self) -> NetStats {
-        self.net.stats()
-    }
-
-    /// Applies a network-level fault (partition, heal, loss burst, latency
-    /// spike) to the cluster's message fabric. Crash/restart events are not
-    /// network faults and return `false`.
-    pub fn apply_net_fault(&mut self, at: SimTime, event: &FaultEvent) -> bool {
-        self.net.apply_fault(at, event)
-    }
-
-    /// Commands accepted but not yet included in a block.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Submits a command to the transaction pool.
-    pub fn submit(&mut self, cmd: Command) {
-        self.pending.push(cmd);
-    }
-
-    /// Removes every queued command (models a txpool flush).
-    pub fn drop_pending(&mut self) -> usize {
-        let n = self.pending.len();
-        self.pending.clear();
-        n
-    }
-
-    /// Flags `node` to misbehave (`behaviour`) until virtual time `until`.
-    pub fn set_byzantine(&mut self, node: NodeId, behaviour: ByzantineBehaviour, until: SimTime) {
-        self.byz[node.0 as usize].arm(behaviour, until);
-    }
-
-    /// The safety monitor's verdict over everything observed so far.
-    pub fn safety_report(&self) -> SafetyReport {
-        self.monitor.report()
-    }
-
-    /// The liveness monitor's verdict as of the current virtual time.
-    pub fn liveness_report(&self) -> LivenessReport {
-        self.liveness.report(self.net.now())
-    }
-
-    /// Crashes a validator.
-    pub fn crash(&mut self, node: NodeId) {
-        self.nodes[node.0 as usize].alive = false;
-    }
-
-    /// Recovers a crashed validator.
-    pub fn recover(&mut self, node: NodeId) {
-        self.nodes[node.0 as usize].alive = true;
-    }
-
-    /// Runs the protocol until `deadline`, returning blocks committed in
-    /// this window (empty blocks included when enabled).
-    pub fn run_until(&mut self, deadline: SimTime) -> Vec<CommittedBatch> {
-        while let Some(ev) = self.net.pop_at_or_before(deadline) {
-            self.dispatch(ev.dst, ev.at, ev.msg);
+    fn gate(msg: &IbftMsg) -> Gate {
+        match *msg {
+            IbftMsg::Prepare { epoch, .. } | IbftMsg::Commit { epoch, .. } => Gate::Vote(epoch),
+            IbftMsg::SyncDone { node } => Gate::SyncDone(node),
+            _ => Gate::Protocol,
         }
-        self.net.advance_to(deadline);
-        std::mem::take(&mut self.committed)
     }
 
-    /// Due time of the next internal event.
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        self.net.next_event_time()
+    fn sync_done(node: NodeId) -> IbftMsg {
+        IbftMsg::SyncDone { node }
     }
 
-    /// Validators currently in the active membership.
-    pub fn active_count(&self) -> u32 {
-        self.membership.active_count()
-    }
-
-    /// Current membership configuration epoch.
-    pub fn config_epoch(&self) -> u64 {
-        self.membership.epoch()
-    }
-
-    /// Votes dropped because they carried a superseded membership epoch.
-    pub fn stale_epoch_rejections(&self) -> u64 {
-        self.stale_epoch_rejections
-    }
-
-    /// Starts admitting a pre-provisioned standby validator: it first syncs
-    /// the chain (catch-up takes longer the more blocks were committed) and
-    /// only joins the active membership — bumping the epoch — when the
-    /// transfer completes. Returns `false` if `node` is unknown, already
-    /// active, or already syncing.
-    pub fn join(&mut self, node: NodeId) -> bool {
-        if node.0 >= self.membership.provisioned()
-            || self.membership.is_active(node)
-            || self.monitor.is_syncing(node)
-        {
-            return false;
-        }
-        self.monitor.observe_sync_start(node);
-        let sync = SYNC_BASE + SYNC_PER_BATCH * self.next_height;
-        self.net.timer(node, sync, IbftMsg::SyncDone { node });
-        true
-    }
-
-    /// Removes a validator from the active membership, bumping the epoch
-    /// and recomputing the quorum. Returns `false` if `node` is not an
-    /// active member or is the last one.
-    pub fn leave(&mut self, node: NodeId) -> bool {
-        if !self.membership.leave(node) {
-            return false;
-        }
-        self.on_epoch_change();
-        true
-    }
-
-    fn quorum(&self) -> u32 {
-        bft_quorum(self.membership.active_count())
-    }
-
-    fn proposer_of(&self, height: u64, round: u64) -> NodeId {
-        // Rotation over the active membership; identical to
-        // `(height + round) mod n` until the first join/leave.
-        self.membership.select(height + round)
-    }
-
-    fn dispatch(&mut self, me: NodeId, at: SimTime, msg: IbftMsg) {
-        if !self.nodes[me.0 as usize].alive {
-            return;
-        }
-        if !self.membership.is_active(me) {
-            // A standby/departed validator ignores the protocol entirely;
-            // only its own sync-completion timer is meaningful.
-            if let IbftMsg::SyncDone { node } = msg {
-                self.on_sync_done(node);
-            }
-            return;
-        }
+    fn handle(c: &mut IbftCluster, me: NodeId, at: SimTime, msg: IbftMsg) {
         match msg {
-            IbftMsg::ProposeTimer { height, round } => self.on_propose_timer(me, height, round),
-            IbftMsg::RoundTimeout { height, round } => self.on_round_timeout(me, height, round),
+            IbftMsg::ProposeTimer { height, round } => c.on_propose_timer(me, height, round),
+            IbftMsg::RoundTimeout { height, round } => c.on_round_timeout(me, height, round),
             IbftMsg::PrePrepare {
                 height,
                 round,
                 digest,
                 batch,
-            } => self.on_pre_prepare(me, at, height, round, digest, batch),
+            } => c.on_pre_prepare(me, at, height, round, digest, batch),
             IbftMsg::Prepare {
-                epoch,
                 height,
                 round,
                 digest,
                 from,
-            } => {
-                if epoch != self.membership.epoch() {
-                    self.stale_epoch_rejections += 1;
-                    return;
-                }
-                self.on_prepare(me, at, height, round, digest, from)
-            }
+                ..
+            } => c.on_prepare(me, at, height, round, digest, from),
             IbftMsg::Commit {
-                epoch,
                 height,
                 round,
                 digest,
                 from,
-            } => {
-                if epoch != self.membership.epoch() {
-                    self.stale_epoch_rejections += 1;
-                    return;
-                }
-                self.on_commit(me, at, height, round, digest, from)
-            }
+                ..
+            } => c.on_commit(me, at, height, round, digest, from),
             IbftMsg::RoundChange {
                 height,
                 round,
                 from,
-            } => self.on_round_change(me, at, height, round, from),
+            } => c.on_round_change(me, at, height, round, from),
             IbftMsg::SyncDone { .. } => {}
         }
     }
 
-    /// A joiner finished its catch-up: admit it to the active membership at
-    /// the next open height and bump the configuration epoch.
-    fn on_sync_done(&mut self, node: NodeId) {
-        if !self.monitor.is_syncing(node) || !self.membership.join(node) {
-            return;
-        }
-        self.monitor.observe_sync_complete(node);
-        {
-            let joiner = &mut self.nodes[node.0 as usize];
-            joiner.height = self.next_height;
-            joiner.round = 0;
-        }
-        self.on_epoch_change();
+    fn synced_batches(&self) -> u64 {
+        self.next_height
     }
 
-    /// Applies a membership change: recompute the quorum over the new
-    /// active count, abandon in-flight slots (their epoch is superseded —
-    /// a quorum of the old membership must not certify a commit), reclaim
-    /// their commands, and restart the proposal cadence over the new
-    /// membership.
-    fn on_epoch_change(&mut self) {
-        let quorum = self.quorum();
-        self.monitor.begin_epoch(self.membership.epoch(), quorum);
+    /// The joiner starts at the next open height.
+    fn adopt_joiner(c: &mut IbftCluster, node: NodeId) {
+        let joiner = &mut c.proto.nodes[node.0 as usize];
+        joiner.height = c.proto.next_height;
+        joiner.round = 0;
+    }
+
+    /// Abandons in-flight slots (their epoch is superseded — a quorum of
+    /// the old membership must not certify a commit), reclaims their
+    /// commands, and restarts the proposal cadence over the new membership.
+    fn restart(c: &mut IbftCluster) {
         // Reclaim commands stuck in uncommitted slots, in (height, round)
-        // order, deduplicated (several validators hold the same in-flight
-        // block) and filtered against already-finalized transactions.
+        // order (several validators hold the same in-flight block).
         let mut by_slot: BTreeMap<(u64, u64), Vec<Command>> = BTreeMap::new();
-        for node in &mut self.nodes {
+        for node in &mut c.proto.nodes {
             for (&(height, round), slot) in node.slots.iter() {
                 if slot.committed {
                     continue;
@@ -545,45 +273,56 @@ impl IbftCluster {
             node.round_change_votes.clear();
             node.voted_round.clear();
         }
-        let mut seen: BTreeSet<u64> = BTreeSet::new();
-        let mut restored: Vec<Command> = Vec::new();
-        for batch in by_slot.into_values() {
-            for c in batch {
-                if !self.committed_txs.contains(&c.tx.as_u64()) && seen.insert(c.tx.as_u64()) {
-                    restored.push(c);
-                }
-            }
-        }
-        restored.append(&mut self.pending);
-        self.pending = restored;
-        let height = self.next_height;
-        self.commit_quorum.retain(|&(h, _), _| h < height);
+        c.reclaim(by_slot.into_values(), true);
+        let height = c.proto.next_height;
+        c.proto.commit_quorum.retain(|&(h, _), _| h < height);
         // Restart the pipeline under the new epoch: every active validator
         // realigns on (next_height, round 0) and the proposer re-proposes.
-        for i in 0..self.nodes.len() {
+        for i in 0..c.proto.nodes.len() {
             let id = NodeId(i as u32);
-            if self.nodes[i].alive && self.membership.is_active(id) {
-                let node = &mut self.nodes[i];
+            if c.participates(id) {
+                let node = &mut c.proto.nodes[i];
                 node.height = height;
                 node.round = 0;
-                self.net.timer(
+                c.net.timer(
                     id,
-                    self.round_timeout,
+                    c.proto.round_timeout,
                     IbftMsg::RoundTimeout { height, round: 0 },
                 );
             }
         }
-        self.net.timer(
-            self.proposer_of(height, 0),
-            self.block_period,
+        c.net.timer(
+            c.proposer_of(height, 0),
+            c.proto.block_period,
             IbftMsg::ProposeTimer { height, round: 0 },
         );
+    }
+}
+
+impl IbftCluster {
+    /// Whether empty blocks are emitted to the caller (Quorum's behaviour).
+    /// Disable to only surface non-empty blocks.
+    pub fn set_emit_empty_blocks(&mut self, emit: bool) {
+        self.proto.emit_empty_blocks = emit;
+    }
+
+    /// Removes every queued command (models a txpool flush).
+    pub fn drop_pending(&mut self) -> usize {
+        let n = self.pending.len();
+        self.pending.clear();
+        n
+    }
+
+    fn proposer_of(&self, height: u64, round: u64) -> NodeId {
+        // Rotation over the active membership; identical to
+        // `(height + round) mod n` until the first join/leave.
+        self.membership.select(height + round)
     }
 
     fn on_propose_timer(&mut self, me: NodeId, height: u64, round: u64) {
         {
-            let node = &self.nodes[me.0 as usize];
-            if height != self.next_height
+            let node = &self.proto.nodes[me.0 as usize];
+            if height != self.proto.next_height
                 || node.round != round
                 || self.proposer_of(height, round) != me
             {
@@ -601,13 +340,13 @@ impl IbftCluster {
         // pool — Quorum mints empty blocks.
         let take = self.pending.len().min(self.batch.max_commands);
         let batch: Vec<Command> = self.pending.drain(..take).collect();
-        let digest = digest_of(&batch, height, round);
+        let digest = digest_of(&batch, height, round, 0);
         let bytes = 64 + batch.iter().map(|c| c.bytes as usize).sum::<usize>();
         let cost = self.proc_per_msg + self.proc_per_command * batch.len() as u64;
         let now = self.net.now();
         let done = self.cpu.process(me, now, cost);
         {
-            let slot = self.nodes[me.0 as usize]
+            let slot = self.proto.nodes[me.0 as usize]
                 .slots
                 .entry((height, round))
                 .or_default();
@@ -618,53 +357,21 @@ impl IbftCluster {
         self.monitor.observe_proposal(round, height, me, digest);
         self.monitor
             .observe_vote(me, VotePhase::Prepare, round, height, digest, me);
-        if self.byz[me.0 as usize].equivocates(now) && self.nodes.len() >= 3 {
+        if self.equivocates(me) {
             // Equivocating proposer: a sibling block with the same commands
             // but a conflicting digest goes to half the honest validators;
             // Byzantine accomplices receive both versions.
-            let alt = sibling_digest_of(&batch, height, round);
-            self.equiv_sibling.insert((height, round), alt);
+            let alt = digest_of(&batch, height, round, SIBLING_SALT);
+            self.proto.equiv_sibling.insert((height, round), alt);
             self.monitor.observe_proposal(round, height, me, alt);
-            let extra = done - now;
-            let mut honest_idx = 0usize;
-            for i in 0..self.nodes.len() {
-                let dst = NodeId(i as u32);
-                if dst == me {
-                    continue;
+            self.send_equivocal(me, done - now, bytes, (digest, alt), |digest| {
+                IbftMsg::PrePrepare {
+                    height,
+                    round,
+                    digest,
+                    batch: batch.clone(),
                 }
-                let accomplice = self.byz[i].is_byzantine(now);
-                if accomplice || honest_idx.is_multiple_of(2) {
-                    self.net.send_delayed(
-                        me,
-                        dst,
-                        extra,
-                        bytes,
-                        IbftMsg::PrePrepare {
-                            height,
-                            round,
-                            digest,
-                            batch: batch.clone(),
-                        },
-                    );
-                }
-                if accomplice || honest_idx % 2 == 1 {
-                    self.net.send_delayed(
-                        me,
-                        dst,
-                        extra,
-                        bytes,
-                        IbftMsg::PrePrepare {
-                            height,
-                            round,
-                            digest: alt,
-                            batch: batch.clone(),
-                        },
-                    );
-                }
-                if !accomplice {
-                    honest_idx += 1;
-                }
-            }
+            });
         } else {
             self.net
                 .broadcast_delayed(me, done - now, bytes, |_| IbftMsg::PrePrepare {
@@ -676,7 +383,7 @@ impl IbftCluster {
         }
         self.net.timer(
             me,
-            self.round_timeout,
+            self.proto.round_timeout,
             IbftMsg::RoundTimeout { height, round },
         );
     }
@@ -695,7 +402,7 @@ impl IbftCluster {
         let extra = done - at;
         let epoch = self.membership.epoch();
         {
-            let node = &mut self.nodes[me.0 as usize];
+            let node = &mut self.proto.nodes[me.0 as usize];
             if height != node.height || round != node.round {
                 return;
             }
@@ -743,7 +450,7 @@ impl IbftCluster {
             });
         self.net.timer(
             me,
-            self.round_timeout,
+            self.proto.round_timeout,
             IbftMsg::RoundTimeout { height, round },
         );
         self.check_prepared(me, height, round, digest);
@@ -760,7 +467,7 @@ impl IbftCluster {
     ) {
         let _ = self.cpu.process(me, at, self.proc_per_msg);
         {
-            let node = &mut self.nodes[me.0 as usize];
+            let node = &mut self.proto.nodes[me.0 as usize];
             if height != node.height || round != node.round {
                 return;
             }
@@ -780,7 +487,7 @@ impl IbftCluster {
         let now = self.net.now();
         let should_commit;
         {
-            let node = &mut self.nodes[me.0 as usize];
+            let node = &mut self.proto.nodes[me.0 as usize];
             let slot = node.slots.entry((height, round)).or_default();
             should_commit = !slot.prepared
                 && slot.digest == Some(digest)
@@ -808,7 +515,7 @@ impl IbftCluster {
             // An equivocating proposer finishes its attack: the sibling
             // fork needs its commit vote too.
             if self.proposer_of(height, round) == me {
-                if let Some(&alt) = self.equiv_sibling.get(&(height, round)) {
+                if let Some(&alt) = self.proto.equiv_sibling.get(&(height, round)) {
                     if alt != digest {
                         self.net
                             .broadcast_delayed(me, done - now, 64, |_| IbftMsg::Commit {
@@ -836,7 +543,7 @@ impl IbftCluster {
     ) {
         let _ = self.cpu.process(me, at, self.proc_per_msg);
         {
-            let node = &mut self.nodes[me.0 as usize];
+            let node = &mut self.proto.nodes[me.0 as usize];
             if height != node.height || round != node.round {
                 return;
             }
@@ -856,7 +563,7 @@ impl IbftCluster {
         let now = self.net.now();
         let locally_committed;
         {
-            let node = &mut self.nodes[me.0 as usize];
+            let node = &mut self.proto.nodes[me.0 as usize];
             let slot = node.slots.entry((height, round)).or_default();
             locally_committed = !slot.committed
                 && slot.prepared
@@ -881,29 +588,30 @@ impl IbftCluster {
         // Watch the next height: its proposer might be dead.
         self.net.timer(
             me,
-            self.block_period + self.round_timeout,
+            self.proto.block_period + self.proto.round_timeout,
             IbftMsg::RoundTimeout {
                 height: height + 1,
                 round: 0,
             },
         );
-        let entry = self.commit_quorum.entry((height, round)).or_default();
+        let entry = self.proto.commit_quorum.entry((height, round)).or_default();
         if !entry.iter().any(|(n, _)| *n == me) {
             entry.push((me, now));
         }
-        if entry.len() as u32 >= quorum && height == self.next_height {
+        if entry.len() as u32 >= quorum && height == self.proto.next_height {
             let committed_at = entry.iter().map(|&(_, t)| t).max().unwrap_or(now);
             let batch = self
+                .proto
                 .nodes
                 .iter()
                 .find_map(|n| n.slots.get(&(height, round)).and_then(|s| s.batch.clone()))
                 .unwrap_or_default();
-            self.next_height = height + 1;
+            self.proto.next_height = height + 1;
             self.liveness.observe_commit(committed_at);
             for c in &batch {
                 self.committed_txs.insert(c.tx.as_u64());
             }
-            if !batch.is_empty() || self.emit_empty_blocks {
+            if !batch.is_empty() || self.proto.emit_empty_blocks {
                 self.committed.push(CommittedBatch {
                     commands: batch,
                     proposer: self.proposer_of(height, round),
@@ -914,7 +622,7 @@ impl IbftCluster {
             let next_proposer = self.proposer_of(height + 1, 0);
             self.net.timer(
                 next_proposer,
-                self.block_period,
+                self.proto.block_period,
                 IbftMsg::ProposeTimer {
                     height: height + 1,
                     round: 0,
@@ -926,7 +634,7 @@ impl IbftCluster {
     fn on_round_timeout(&mut self, me: NodeId, height: u64, round: u64) {
         let should_complain;
         {
-            let node = &self.nodes[me.0 as usize];
+            let node = &self.proto.nodes[me.0 as usize];
             should_complain = node.height == height
                 && node.round == round
                 && node
@@ -939,7 +647,7 @@ impl IbftCluster {
         }
         let new_round = round + 1;
         {
-            let node = &mut self.nodes[me.0 as usize];
+            let node = &mut self.proto.nodes[me.0 as usize];
             let voted = node.voted_round.entry(height).or_insert(0);
             if *voted >= new_round {
                 return;
@@ -968,7 +676,7 @@ impl IbftCluster {
         let quorum = self.quorum();
         let reached;
         {
-            let node = &mut self.nodes[me.0 as usize];
+            let node = &mut self.proto.nodes[me.0 as usize];
             if node.height != height || round <= node.round {
                 return;
             }
@@ -977,32 +685,21 @@ impl IbftCluster {
             reached = *votes >= quorum;
         }
         if reached {
-            {
-                let node = &mut self.nodes[me.0 as usize];
-                node.round = round;
-                // Blocks stuck in the abandoned rounds of this height are
-                // reclaimed so their commands are re-proposed, not
-                // stranded. Reclaim in round order (slot iteration order is
-                // not deterministic).
-                let mut by_round: BTreeMap<u64, Vec<Command>> = BTreeMap::new();
-                for (&(h, r), slot) in node.slots.iter_mut() {
-                    if h == height && r < round && !slot.committed {
-                        if let Some(batch) = slot.batch.take() {
-                            by_round.insert(r, batch);
-                        }
-                    }
-                }
-                let mut seen: BTreeSet<u64> = self.pending.iter().map(|c| c.tx.as_u64()).collect();
-                for batch in by_round.into_values() {
-                    for c in batch {
-                        if !self.committed_txs.contains(&c.tx.as_u64())
-                            && seen.insert(c.tx.as_u64())
-                        {
-                            self.pending.push(c);
-                        }
+            let node = &mut self.proto.nodes[me.0 as usize];
+            node.round = round;
+            // Blocks stuck in the abandoned rounds of this height are
+            // reclaimed so their commands are re-proposed, not stranded.
+            // Reclaim in round order (slot iteration order is not
+            // deterministic).
+            let mut by_round: BTreeMap<u64, Vec<Command>> = BTreeMap::new();
+            for (&(h, r), slot) in node.slots.iter_mut() {
+                if h == height && r < round && !slot.committed {
+                    if let Some(batch) = slot.batch.take() {
+                        by_round.insert(r, batch);
                     }
                 }
             }
+            self.reclaim(by_round.into_values(), false);
             if self.proposer_of(height, round) == me {
                 // Exactly one node is the new proposer, so this is counted
                 // once per successful round change across the cluster.
@@ -1015,31 +712,18 @@ impl IbftCluster {
             }
             self.net.timer(
                 me,
-                self.round_timeout,
+                self.proto.round_timeout,
                 IbftMsg::RoundTimeout { height, round },
             );
         }
     }
 }
 
-/// Deterministic digest of a block proposal.
-fn digest_of(batch: &[Command], height: u64, round: u64) -> u64 {
-    let mut h = Hasher64::with_key(height.wrapping_mul(31).wrapping_add(round));
-    for c in batch {
-        h.write_u64(c.tx.as_u64());
-    }
-    h.finish()
-}
-
-/// The conflicting digest an equivocating proposer pairs with
-/// [`digest_of`]: same commands, different serialization.
-fn sibling_digest_of(batch: &[Command], height: u64, round: u64) -> u64 {
-    let mut h = Hasher64::with_key(
-        height
-            .wrapping_mul(31)
-            .wrapping_add(round)
-            .wrapping_add(0xB12A_57DE),
-    );
+/// Deterministic digest of a block proposal; `salt` is 0, or
+/// [`SIBLING_SALT`] for an equivocating proposer's conflicting sibling.
+fn digest_of(batch: &[Command], height: u64, round: u64, salt: u64) -> u64 {
+    let key = height.wrapping_mul(31).wrapping_add(round);
+    let mut h = Hasher64::with_key(key.wrapping_add(salt));
     for c in batch {
         h.write_u64(c.tx.as_u64());
     }
@@ -1049,6 +733,7 @@ fn sibling_digest_of(batch: &[Command], height: u64, round: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use coconut_simnet::ByzantineBehaviour;
     use coconut_types::{ClientId, TxId};
 
     fn tx(seq: u64) -> Command {

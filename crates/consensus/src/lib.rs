@@ -17,7 +17,8 @@
 //! Engines share a vocabulary — [`Command`]s go in, [`CommittedBatch`]es come
 //! out — and a per-node CPU queue model ([`CpuModel`]) so that the quadratic
 //! message complexity of the BFT protocols translates into the scalability
-//! degradation the paper measures in §5.8.2.
+//! degradation the paper measures in §5.8.2. The three BFT engines run in
+//! one shell, [`bft::BftCluster`], and keep only their protocol.
 //!
 //! # Example
 //!
@@ -35,6 +36,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod bft;
 pub mod diembft;
 pub mod dpos;
 pub mod ibft;
@@ -50,6 +52,13 @@ pub use safety::{
 };
 
 use coconut_types::{NodeId, SimDuration, SimTime, TxId};
+
+/// Base catch-up time (the state-transfer handshake) a joining node spends
+/// before it may vote, lead or serve, in every engine.
+pub(crate) const SYNC_BASE: SimDuration = SimDuration::from_millis(250);
+/// Catch-up cost per committed batch, block or log entry a joiner
+/// transfers (the notary prices consumed states instead).
+pub(crate) const SYNC_PER_BATCH: SimDuration = SimDuration::from_millis(2);
 
 /// A client command handed to a consensus engine for ordering.
 ///

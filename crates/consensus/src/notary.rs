@@ -16,11 +16,10 @@ use std::collections::HashSet;
 
 use coconut_types::{NodeId, SimDuration, SimTime, StateRef, TxId};
 
-use crate::Membership;
+use crate::{Membership, SYNC_BASE};
 
-/// Base catch-up time for a notary joining the pool plus a per-consumed-state
-/// transfer cost; the joiner serves no requests until this completes.
-const SYNC_BASE: SimDuration = SimDuration::from_millis(250);
+/// Per-consumed-state transfer cost a joining notary pays on top of
+/// [`SYNC_BASE`]; the joiner serves no requests until catch-up completes.
 const SYNC_PER_STATE: SimDuration = SimDuration::from_micros(20);
 
 /// The verdict of a notarization request.

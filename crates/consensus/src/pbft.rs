@@ -19,69 +19,71 @@
 //! blocks (same commands, different digests) to disjoint halves of the
 //! honest peers, and a double-voting replica answers a conflicting
 //! pre-prepare with prepare *and* commit votes for both digests. A
-//! [`SafetyMonitor`] observes every proposal, vote, and commit and counts
+//! [`SafetyMonitor`](crate::SafetyMonitor) observes every proposal, vote, and commit and counts
 //! invariant breaks — with ≤ f flagged nodes the minority fork starves
 //! below quorum and the report stays clean; beyond f the forged votes
 //! carry a conflicting block to commit and the monitor records it.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 
-use coconut_simnet::{ByzantineBehaviour, FaultEvent, NetConfig, NetSim, NetStats, Topology};
 use coconut_types::{Hasher64, NodeId, SimDuration, SimTime};
 
-use crate::liveness::{LivenessMonitor, LivenessReport};
-use crate::safety::{ByzantineFlags, SafetyMonitor, SafetyReport, VotePhase};
-use crate::{bft_quorum, BatchConfig, Command, CommittedBatch, CpuModel, Membership};
+use crate::bft::{BftBuilder, BftCluster, Gate, Protocol, SIBLING_SALT};
+use crate::safety::VotePhase;
+use crate::{BatchConfig, Command, CommittedBatch};
 
-/// Base catch-up time a joiner spends before it may vote (state-transfer
-/// handshake), plus a per-committed-batch transfer cost.
-const SYNC_BASE: SimDuration = SimDuration::from_millis(250);
-const SYNC_PER_BATCH: SimDuration = SimDuration::from_millis(2);
+use msg::PbftMsg;
 
-/// PBFT protocol messages and local timers.
-#[derive(Debug, Clone)]
-enum PbftMsg {
-    /// Primary cadence timer: publish the next block.
-    PublishTimer {
-        view: u64,
-        seq: u64,
-    },
-    /// Replica progress timer for an outstanding proposal.
-    CommitTimeout {
-        view: u64,
-        seq: u64,
-    },
-    PrePrepare {
-        view: u64,
-        seq: u64,
-        digest: u64,
-        batch: Vec<Command>,
-    },
-    Prepare {
-        epoch: u64,
-        view: u64,
-        seq: u64,
-        digest: u64,
-        from: NodeId,
-    },
-    Commit {
-        epoch: u64,
-        view: u64,
-        seq: u64,
-        digest: u64,
-        from: NodeId,
-    },
-    ViewChange {
-        new_view: u64,
-        from: NodeId,
-    },
-    NewView {
-        view: u64,
-    },
-    /// A joiner's catch-up/state transfer finished: activate it.
-    SyncDone {
-        node: NodeId,
-    },
+mod msg {
+    use coconut_types::NodeId;
+
+    use crate::Command;
+
+    /// PBFT protocol messages and local timers.
+    #[derive(Debug, Clone)]
+    pub enum PbftMsg {
+        /// Primary cadence timer: publish the next block.
+        PublishTimer {
+            view: u64,
+            seq: u64,
+        },
+        /// Replica progress timer for an outstanding proposal.
+        CommitTimeout {
+            view: u64,
+            seq: u64,
+        },
+        PrePrepare {
+            view: u64,
+            seq: u64,
+            digest: u64,
+            batch: Vec<Command>,
+        },
+        Prepare {
+            epoch: u64,
+            view: u64,
+            seq: u64,
+            digest: u64,
+            from: NodeId,
+        },
+        Commit {
+            epoch: u64,
+            view: u64,
+            seq: u64,
+            digest: u64,
+            from: NodeId,
+        },
+        ViewChange {
+            new_view: u64,
+            from: NodeId,
+        },
+        NewView {
+            view: u64,
+        },
+        /// A joiner's catch-up/state transfer finished: activate it.
+        SyncDone {
+            node: NodeId,
+        },
+    }
 }
 
 /// Per-sequence consensus progress at one node. Vote tallies are kept per
@@ -97,7 +99,7 @@ struct SlotState {
     committed: bool,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default, Clone)]
 struct PbftNode {
     view: u64,
     /// Next sequence this node expects to commit.
@@ -105,147 +107,38 @@ struct PbftNode {
     slots: HashMap<(u64, u64), SlotState>,
     view_change_votes: HashMap<u64, u32>,
     voted_view: u64,
-    alive: bool,
 }
 
-impl PbftNode {
-    fn new() -> Self {
-        PbftNode {
-            view: 0,
-            low_water: 0,
-            slots: HashMap::new(),
-            view_change_votes: HashMap::new(),
-            voted_view: 0,
-            alive: true,
+/// PBFT's settings and state: per-replica views and slots, the cluster's
+/// commit frontier, and Sawtooth's publishing delay and commit timeout.
+#[derive(Debug, Clone)]
+pub struct Pbft {
+    nodes: Vec<PbftNode>,
+    next_commit_seq: u64,
+    publishing_delay: SimDuration,
+    commit_timeout: SimDuration,
+    /// (view, seq) → nodes that reached local commit, for quorum detection.
+    commit_quorum_times: HashMap<(u64, u64), Vec<(NodeId, SimTime)>>,
+    /// (view, seq) → the conflicting sibling digest an equivocating primary
+    /// broadcast alongside its real proposal.
+    equiv_sibling: HashMap<(u64, u64), u64>,
+}
+
+impl Default for Pbft {
+    fn default() -> Self {
+        Pbft {
+            nodes: Vec::new(),
+            next_commit_seq: 0,
+            publishing_delay: SimDuration::from_secs(1),
+            commit_timeout: SimDuration::from_secs(4),
+            commit_quorum_times: HashMap::new(),
+            equiv_sibling: HashMap::new(),
         }
     }
 }
 
 /// Configuration for a [`PbftCluster`]; build with [`PbftCluster::builder`].
-#[derive(Debug, Clone)]
-pub struct PbftBuilder {
-    nodes: u32,
-    standby: u32,
-    topology: Option<Topology>,
-    net: NetConfig,
-    seed: u64,
-    batch: BatchConfig,
-    publishing_delay: SimDuration,
-    commit_timeout: SimDuration,
-    proc_per_msg: SimDuration,
-    proc_per_command: SimDuration,
-}
-
-impl PbftBuilder {
-    /// Node placement (defaults to one node per server).
-    pub fn topology(mut self, t: Topology) -> Self {
-        self.topology = Some(t);
-        self
-    }
-
-    /// Pre-provisions `k` standby replicas (ids `nodes..nodes + k`) that
-    /// start outside the active membership and can be admitted at runtime
-    /// via [`PbftCluster::join`]. Default 0.
-    pub fn standby(mut self, k: u32) -> Self {
-        self.standby = k;
-        self
-    }
-
-    /// Network characteristics.
-    pub fn net(mut self, c: NetConfig) -> Self {
-        self.net = c;
-        self
-    }
-
-    /// RNG seed.
-    pub fn seed(mut self, s: u64) -> Self {
-        self.seed = s;
-        self
-    }
-
-    /// Batch-cut policy (block size bound).
-    pub fn batch(mut self, b: BatchConfig) -> Self {
-        self.batch = b;
-        self
-    }
-
-    /// Sawtooth's `block_publishing_delay`: the pause between a commit and
-    /// the next proposal.
-    pub fn publishing_delay(mut self, d: SimDuration) -> Self {
-        self.publishing_delay = d;
-        self
-    }
-
-    /// How long replicas wait for an outstanding proposal to commit before
-    /// voting for a view change.
-    pub fn commit_timeout(mut self, d: SimDuration) -> Self {
-        self.commit_timeout = d;
-        self
-    }
-
-    /// Fixed CPU cost of handling any protocol message.
-    pub fn proc_per_msg(mut self, d: SimDuration) -> Self {
-        self.proc_per_msg = d;
-        self
-    }
-
-    /// Additional CPU cost per command in a `PrePrepare`.
-    pub fn proc_per_command(mut self, d: SimDuration) -> Self {
-        self.proc_per_command = d;
-        self
-    }
-
-    /// Builds the cluster. The initial primary (view 0 → node 0) arms its
-    /// publish timer immediately.
-    pub fn build(self) -> PbftCluster {
-        let n = self.nodes;
-        let total = n + self.standby;
-        let topology = self
-            .topology
-            .unwrap_or_else(|| Topology::round_robin(total, total));
-        assert_eq!(
-            topology.node_count(),
-            total,
-            "topology must cover baseline + standby nodes"
-        );
-        let mut net = NetSim::new(topology, self.net, self.seed);
-        net.timer(
-            NodeId(0),
-            self.publishing_delay,
-            PbftMsg::PublishTimer { view: 0, seq: 0 },
-        );
-        // Every active replica watches the first sequence so a dead initial
-        // primary is detected even though it never sends a pre-prepare.
-        for i in 0..n {
-            net.timer(
-                NodeId(i),
-                self.commit_timeout,
-                PbftMsg::CommitTimeout { view: 0, seq: 0 },
-            );
-        }
-        PbftCluster {
-            nodes: (0..total).map(|_| PbftNode::new()).collect(),
-            membership: Membership::new(n, self.standby),
-            net,
-            cpu: CpuModel::new(total),
-            batch: self.batch,
-            pending: Vec::new(),
-            committed: Vec::new(),
-            next_commit_seq: 0,
-            publishing_delay: self.publishing_delay,
-            commit_timeout: self.commit_timeout,
-            proc_per_msg: self.proc_per_msg,
-            proc_per_command: self.proc_per_command,
-            commit_quorum_times: HashMap::new(),
-            byz: vec![ByzantineFlags::default(); total as usize],
-            monitor: SafetyMonitor::new(bft_quorum(n)),
-            liveness: LivenessMonitor::default(),
-            equiv_sibling: HashMap::new(),
-            stale_epoch_rejections: 0,
-            committed_txs: BTreeSet::new(),
-        }
-    }
-}
+pub type PbftBuilder = BftBuilder<Pbft>;
 
 /// A simulated PBFT cluster.
 ///
@@ -260,284 +153,118 @@ impl PbftBuilder {
 /// let batches = pbft.run_until(SimTime::from_secs(5));
 /// assert_eq!(batches.len(), 1);
 /// ```
-#[derive(Debug)]
-pub struct PbftCluster {
-    nodes: Vec<PbftNode>,
-    /// Epoch-versioned active membership over the provisioned universe.
-    membership: Membership,
-    net: NetSim<PbftMsg>,
-    cpu: CpuModel,
-    batch: BatchConfig,
-    pending: Vec<Command>,
-    committed: Vec<CommittedBatch>,
-    next_commit_seq: u64,
-    publishing_delay: SimDuration,
-    commit_timeout: SimDuration,
-    proc_per_msg: SimDuration,
-    proc_per_command: SimDuration,
-    /// (view, seq) → nodes that reached local commit, for quorum detection.
-    commit_quorum_times: HashMap<(u64, u64), Vec<(NodeId, SimTime)>>,
-    /// Per-node Byzantine fault windows.
-    byz: Vec<ByzantineFlags>,
-    /// Message-level safety invariant checker.
-    monitor: SafetyMonitor,
-    /// Commit-cadence and view-change-storm liveness tracker.
-    liveness: LivenessMonitor,
-    /// (view, seq) → the conflicting sibling digest an equivocating primary
-    /// broadcast alongside its real proposal.
-    equiv_sibling: HashMap<(u64, u64), u64>,
-    /// Votes dropped because they carried a superseded membership epoch.
-    stale_epoch_rejections: u64,
-    /// Transactions already finalized, so a batch orphaned by a view or
-    /// epoch change is never re-proposed after its commands committed.
-    committed_txs: BTreeSet<u64>,
+pub type PbftCluster = BftCluster<Pbft>;
+
+impl PbftBuilder {
+    /// Sawtooth's `block_publishing_delay`: the pause between a commit and
+    /// the next proposal.
+    pub fn publishing_delay(mut self, d: SimDuration) -> Self {
+        self.proto.publishing_delay = d;
+        self
+    }
+
+    /// How long replicas wait for an outstanding proposal to commit before
+    /// voting for a view change.
+    pub fn commit_timeout(mut self, d: SimDuration) -> Self {
+        self.proto.commit_timeout = d;
+        self
+    }
 }
 
-impl PbftCluster {
-    /// Starts building a PBFT cluster of `nodes` replicas.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes` is zero.
-    pub fn builder(nodes: u32) -> PbftBuilder {
-        assert!(nodes > 0, "a cluster needs at least one node");
-        PbftBuilder {
-            nodes,
-            standby: 0,
-            topology: None,
-            net: NetConfig::lan(),
-            seed: 0,
-            batch: BatchConfig::new(200, SimDuration::from_secs(1)),
-            publishing_delay: SimDuration::from_secs(1),
-            commit_timeout: SimDuration::from_secs(4),
-            proc_per_msg: SimDuration::from_micros(30),
-            proc_per_command: SimDuration::from_micros(5),
+impl Protocol for Pbft {
+    type Msg = PbftMsg;
+    const BATCH: BatchConfig = BatchConfig {
+        max_commands: 200,
+        max_wait: SimDuration::from_secs(1),
+    };
+    const PROC_PER_MSG: SimDuration = SimDuration::from_micros(30);
+    const PROC_PER_COMMAND: SimDuration = SimDuration::from_micros(5);
+
+    /// The initial primary (view 0 → node 0) arms its publish timer
+    /// immediately.
+    fn start(c: &mut PbftCluster) {
+        c.proto.nodes = vec![PbftNode::default(); c.alive.len()];
+        c.net.timer(
+            NodeId(0),
+            c.proto.publishing_delay,
+            PbftMsg::PublishTimer { view: 0, seq: 0 },
+        );
+        // Every active replica watches the first sequence so a dead initial
+        // primary is detected even though it never sends a pre-prepare.
+        for i in 0..c.membership.active_count() {
+            c.net.timer(
+                NodeId(i),
+                c.proto.commit_timeout,
+                PbftMsg::CommitTimeout { view: 0, seq: 0 },
+            );
         }
     }
 
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.net.now()
-    }
-
-    /// Number of replicas.
-    pub fn node_count(&self) -> u32 {
-        self.nodes.len() as u32
-    }
-
-    /// The primary of the current highest view.
-    pub fn primary(&self) -> NodeId {
-        let view = self
-            .nodes
-            .iter()
-            .filter(|n| n.alive)
-            .map(|n| n.view)
-            .max()
-            .unwrap_or(0);
-        self.primary_of(view)
-    }
-
-    /// Network counters.
-    pub fn net_stats(&self) -> NetStats {
-        self.net.stats()
-    }
-
-    /// Applies a network-level fault (partition, heal, loss burst, latency
-    /// spike) to the cluster's message fabric. Crash/restart events are not
-    /// network faults and return `false`.
-    pub fn apply_net_fault(&mut self, at: SimTime, event: &FaultEvent) -> bool {
-        self.net.apply_fault(at, event)
-    }
-
-    /// Commands accepted but not yet proposed.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Submits a command for ordering.
-    pub fn submit(&mut self, cmd: Command) {
-        self.pending.push(cmd);
-    }
-
-    /// Flags `node` to misbehave (`behaviour`) until virtual time `until`.
-    pub fn set_byzantine(&mut self, node: NodeId, behaviour: ByzantineBehaviour, until: SimTime) {
-        self.byz[node.0 as usize].arm(behaviour, until);
-    }
-
-    /// The safety monitor's verdict over everything observed so far.
-    pub fn safety_report(&self) -> SafetyReport {
-        self.monitor.report()
-    }
-
-    /// The liveness monitor's verdict as of the current virtual time.
-    pub fn liveness_report(&self) -> LivenessReport {
-        self.liveness.report(self.net.now())
-    }
-
-    /// Crashes a replica (it stops processing messages).
-    pub fn crash(&mut self, node: NodeId) {
-        self.nodes[node.0 as usize].alive = false;
-    }
-
-    /// Recovers a crashed replica in its old view.
-    pub fn recover(&mut self, node: NodeId) {
-        self.nodes[node.0 as usize].alive = true;
-    }
-
-    /// Current active-membership size (`n` of the quorum arithmetic).
-    pub fn active_count(&self) -> u32 {
-        self.membership.active_count()
-    }
-
-    /// Current membership-configuration epoch.
-    pub fn config_epoch(&self) -> u64 {
-        self.membership.epoch()
-    }
-
-    /// Votes dropped for carrying a superseded membership epoch.
-    pub fn stale_epoch_rejections(&self) -> u64 {
-        self.stale_epoch_rejections
-    }
-
-    /// Admits standby replica `node`: catch-up (state transfer of the
-    /// committed ledger) starts now, and only once it completes does the
-    /// epoch advance and the joiner vote or lead. Returns `false` when
-    /// `node` is not a provisioned standby or is already joining/active.
-    pub fn join(&mut self, node: NodeId) -> bool {
-        if node.0 >= self.membership.provisioned()
-            || self.membership.is_active(node)
-            || self.monitor.is_syncing(node)
-        {
-            return false;
+    fn gate(msg: &PbftMsg) -> Gate {
+        match *msg {
+            PbftMsg::Prepare { epoch, .. } | PbftMsg::Commit { epoch, .. } => Gate::Vote(epoch),
+            PbftMsg::SyncDone { node } => Gate::SyncDone(node),
+            _ => Gate::Protocol,
         }
-        self.monitor.observe_sync_start(node);
-        let sync = SYNC_BASE + SYNC_PER_BATCH * self.next_commit_seq;
-        self.net.timer(node, sync, PbftMsg::SyncDone { node });
-        true
     }
 
-    /// Removes `node` from the active membership: the epoch advances,
-    /// quorum sizes shrink with `n`, and in-flight votes of the superseded
-    /// epoch are rejected. Returns `false` when `node` is not active or is
-    /// the last active replica.
-    pub fn leave(&mut self, node: NodeId) -> bool {
-        if !self.membership.leave(node) {
-            return false;
-        }
-        self.on_epoch_change();
-        true
+    fn sync_done(node: NodeId) -> PbftMsg {
+        PbftMsg::SyncDone { node }
     }
 
-    /// Runs the protocol until `deadline`, returning batches that reached
-    /// commit quorum in this window.
-    pub fn run_until(&mut self, deadline: SimTime) -> Vec<CommittedBatch> {
-        while let Some(ev) = self.net.pop_at_or_before(deadline) {
-            self.dispatch(ev.dst, ev.at, ev.msg);
-        }
-        self.net.advance_to(deadline);
-        std::mem::take(&mut self.committed)
-    }
-
-    /// Due time of the next internal event.
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        self.net.next_event_time()
-    }
-
-    fn quorum(&self) -> u32 {
-        bft_quorum(self.membership.active_count())
-    }
-
-    fn dispatch(&mut self, me: NodeId, at: SimTime, msg: PbftMsg) {
-        if !self.nodes[me.0 as usize].alive {
-            return;
-        }
-        // Only the sync-completion timer reaches a node outside the active
-        // membership: standbys and departed replicas neither vote nor lead.
-        if !self.membership.is_active(me) {
-            if let PbftMsg::SyncDone { node } = msg {
-                self.on_sync_done(node);
-            }
-            return;
-        }
+    fn handle(c: &mut PbftCluster, me: NodeId, at: SimTime, msg: PbftMsg) {
         match msg {
-            PbftMsg::PublishTimer { view, seq } => self.on_publish_timer(me, view, seq),
-            PbftMsg::CommitTimeout { view, seq } => self.on_commit_timeout(me, view, seq),
+            PbftMsg::PublishTimer { view, seq } => c.on_publish_timer(me, view, seq),
+            PbftMsg::CommitTimeout { view, seq } => c.on_commit_timeout(me, view, seq),
             PbftMsg::PrePrepare {
                 view,
                 seq,
                 digest,
                 batch,
-            } => self.on_pre_prepare(me, at, view, seq, digest, batch),
+            } => c.on_pre_prepare(me, at, view, seq, digest, batch),
             PbftMsg::Prepare {
-                epoch,
                 view,
                 seq,
                 digest,
                 from,
-            } => {
-                if epoch != self.membership.epoch() {
-                    self.stale_epoch_rejections += 1;
-                    return;
-                }
-                self.on_prepare(me, at, view, seq, digest, from);
-            }
+                ..
+            } => c.on_prepare(me, at, view, seq, digest, from),
             PbftMsg::Commit {
-                epoch,
                 view,
                 seq,
                 digest,
                 from,
-            } => {
-                if epoch != self.membership.epoch() {
-                    self.stale_epoch_rejections += 1;
-                    return;
-                }
-                self.on_commit(me, at, view, seq, digest, from);
-            }
-            PbftMsg::ViewChange { new_view, from } => self.on_view_change(me, at, new_view, from),
-            PbftMsg::NewView { view } => self.on_new_view(me, view),
-            PbftMsg::SyncDone { .. } => {} // already active: stale sync timer
+                ..
+            } => c.on_commit(me, at, view, seq, digest, from),
+            PbftMsg::ViewChange { new_view, from } => c.on_view_change(me, at, new_view, from),
+            PbftMsg::NewView { view } => c.on_new_view(me, view),
+            PbftMsg::SyncDone { .. } => {}
         }
     }
 
-    /// A joiner finished catch-up: it enters the membership, the epoch
-    /// advances, and quorum arithmetic now runs over the grown `n`.
-    fn on_sync_done(&mut self, node: NodeId) {
-        if !self.monitor.is_syncing(node) || !self.membership.join(node) {
-            return;
-        }
-        self.monitor.observe_sync_complete(node);
-        // The joiner adopts the highest view among its peers and starts
-        // watching the next open sequence.
-        let view = self
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|&(i, n)| n.alive && self.membership.is_active(NodeId(i as u32)))
-            .map(|(_, n)| n.view)
-            .max()
-            .unwrap_or(0);
-        {
-            let joiner = &mut self.nodes[node.0 as usize];
-            joiner.view = view;
-            joiner.voted_view = joiner.voted_view.max(view);
-            joiner.low_water = self.next_commit_seq;
-        }
-        self.on_epoch_change();
+    fn synced_batches(&self) -> u64 {
+        self.next_commit_seq
     }
 
-    /// Applies a membership change: recompute the quorum over the new
-    /// active count, abandon in-flight slots (their epoch is superseded —
-    /// a quorum of the old membership must not certify a commit), reclaim
-    /// their commands, and restart proposal/watchdog timers over the new
+    /// The joiner adopts the highest view among its peers and starts
+    /// watching the next open sequence.
+    fn adopt_joiner(c: &mut PbftCluster, node: NodeId) {
+        let view = c.highest_view();
+        let joiner = &mut c.proto.nodes[node.0 as usize];
+        joiner.view = view;
+        joiner.voted_view = joiner.voted_view.max(view);
+        joiner.low_water = c.proto.next_commit_seq;
+    }
+
+    /// Abandons in-flight slots (their epoch is superseded — a quorum of
+    /// the old membership must not certify a commit), reclaims their
+    /// commands, and restarts proposal/watchdog timers over the new
     /// membership.
-    fn on_epoch_change(&mut self) {
-        let quorum = self.quorum();
-        self.monitor.begin_epoch(self.membership.epoch(), quorum);
-        // Reclaim commands stuck in uncommitted slots, in sequence order,
-        // deduplicated (several replicas hold the same in-flight batch).
+    fn restart(c: &mut PbftCluster) {
+        // Reclaim commands stuck in uncommitted slots, in sequence order
+        // (several replicas hold the same in-flight batch).
         let mut by_slot: BTreeMap<(u64, u64), Vec<Command>> = BTreeMap::new();
-        for node in &mut self.nodes {
+        for node in &mut c.proto.nodes {
             for (&(view, seq), slot) in node.slots.iter() {
                 if slot.committed {
                     continue;
@@ -548,52 +275,52 @@ impl PbftCluster {
             }
             node.slots.retain(|_, s| s.committed);
         }
-        let mut seen: BTreeSet<u64> = BTreeSet::new();
-        let mut restored: Vec<Command> = Vec::new();
-        for batch in by_slot.into_values() {
-            for c in batch {
-                if !self.committed_txs.contains(&c.tx.as_u64()) && seen.insert(c.tx.as_u64()) {
-                    restored.push(c);
-                }
-            }
-        }
-        restored.append(&mut self.pending);
-        self.pending = restored;
-        self.commit_quorum_times
-            .retain(|&(_, seq), _| seq < self.next_commit_seq);
+        c.reclaim(by_slot.into_values(), true);
+        let next = c.proto.next_commit_seq;
+        c.proto
+            .commit_quorum_times
+            .retain(|&(_, seq), _| seq < next);
         // Restart the pipeline under the new epoch: the primary of the
         // highest active view proposes the next sequence, and every active
         // replica watches it.
-        let view = self
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|&(i, n)| n.alive && self.membership.is_active(NodeId(i as u32)))
-            .map(|(_, n)| n.view)
-            .max()
-            .unwrap_or(0);
-        let seq = self.next_commit_seq;
-        self.net.timer(
-            self.primary_of(view),
-            self.publishing_delay,
+        let view = c.highest_view();
+        let seq = c.proto.next_commit_seq;
+        c.net.timer(
+            c.primary_of(view),
+            c.proto.publishing_delay,
             PbftMsg::PublishTimer { view, seq },
         );
-        for i in 0..self.nodes.len() {
+        for i in 0..c.proto.nodes.len() {
             let dst = NodeId(i as u32);
-            if self.nodes[i].alive && self.membership.is_active(dst) {
-                self.net.timer(
+            if c.participates(dst) {
+                c.net.timer(
                     dst,
-                    self.commit_timeout,
+                    c.proto.commit_timeout,
                     PbftMsg::CommitTimeout { view, seq },
                 );
             }
         }
     }
+}
+
+impl PbftCluster {
+    /// The highest view among alive active replicas.
+    fn highest_view(&self) -> u64 {
+        self.proto
+            .nodes
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| self.participates(NodeId(i as u32)))
+            .map(|(_, n)| n.view)
+            .max()
+            .unwrap_or(0)
+    }
 
     fn on_publish_timer(&mut self, me: NodeId, view: u64, seq: u64) {
         {
-            let node = &self.nodes[me.0 as usize];
-            if node.view != view || seq != self.next_commit_seq || self.primary_of(view) != me {
+            let node = &self.proto.nodes[me.0 as usize];
+            if node.view != view || seq != self.proto.next_commit_seq || self.primary_of(view) != me
+            {
                 return;
             }
             if node
@@ -608,20 +335,20 @@ impl PbftCluster {
             // Nothing to propose; retry a publishing-delay later.
             self.net.timer(
                 me,
-                self.publishing_delay,
+                self.proto.publishing_delay,
                 PbftMsg::PublishTimer { view, seq },
             );
             return;
         }
         let take = self.pending.len().min(self.batch.max_commands);
         let batch: Vec<Command> = self.pending.drain(..take).collect();
-        let digest = digest_of(&batch, view, seq);
+        let digest = digest_of(&batch, view, seq, 0);
         let bytes = 64 + batch.iter().map(|c| c.bytes as usize).sum::<usize>();
         let cost = self.proc_per_msg + self.proc_per_command * batch.len() as u64;
         let now = self.net.now();
         let done = self.cpu.process(me, now, cost);
         // Primary pre-prepares locally.
-        let slot = self.nodes[me.0 as usize]
+        let slot = self.proto.nodes[me.0 as usize]
             .slots
             .entry((view, seq))
             .or_default();
@@ -631,53 +358,21 @@ impl PbftCluster {
         self.monitor.observe_proposal(view, seq, me, digest);
         self.monitor
             .observe_vote(me, VotePhase::Prepare, view, seq, digest, me);
-        if self.byz[me.0 as usize].equivocates(now) && self.nodes.len() >= 3 {
+        if self.equivocates(me) {
             // Equivocating primary: a sibling block with the same commands
             // but a conflicting digest goes to half the honest peers;
             // Byzantine accomplices receive both versions.
-            let alt = sibling_digest_of(&batch, view, seq);
-            self.equiv_sibling.insert((view, seq), alt);
+            let alt = digest_of(&batch, view, seq, SIBLING_SALT);
+            self.proto.equiv_sibling.insert((view, seq), alt);
             self.monitor.observe_proposal(view, seq, me, alt);
-            let extra = done - now;
-            let mut honest_idx = 0usize;
-            for i in 0..self.nodes.len() {
-                let dst = NodeId(i as u32);
-                if dst == me {
-                    continue;
+            self.send_equivocal(me, done - now, bytes, (digest, alt), |digest| {
+                PbftMsg::PrePrepare {
+                    view,
+                    seq,
+                    digest,
+                    batch: batch.clone(),
                 }
-                let accomplice = self.byz[i].is_byzantine(now);
-                if accomplice || honest_idx.is_multiple_of(2) {
-                    self.net.send_delayed(
-                        me,
-                        dst,
-                        extra,
-                        bytes,
-                        PbftMsg::PrePrepare {
-                            view,
-                            seq,
-                            digest,
-                            batch: batch.clone(),
-                        },
-                    );
-                }
-                if accomplice || honest_idx % 2 == 1 {
-                    self.net.send_delayed(
-                        me,
-                        dst,
-                        extra,
-                        bytes,
-                        PbftMsg::PrePrepare {
-                            view,
-                            seq,
-                            digest: alt,
-                            batch: batch.clone(),
-                        },
-                    );
-                }
-                if !accomplice {
-                    honest_idx += 1;
-                }
-            }
+            });
         } else {
             self.net
                 .broadcast_delayed(me, done - now, bytes, |_| PbftMsg::PrePrepare {
@@ -690,7 +385,7 @@ impl PbftCluster {
         // Arm the primary's own progress timer.
         self.net.timer(
             me,
-            self.commit_timeout,
+            self.proto.commit_timeout,
             PbftMsg::CommitTimeout { view, seq },
         );
     }
@@ -709,7 +404,7 @@ impl PbftCluster {
         let extra = done - at;
         let epoch = self.membership.epoch();
         {
-            let node = &mut self.nodes[me.0 as usize];
+            let node = &mut self.proto.nodes[me.0 as usize];
             if view != node.view || seq < node.low_water {
                 return;
             }
@@ -758,7 +453,7 @@ impl PbftCluster {
             });
         self.net.timer(
             me,
-            self.commit_timeout,
+            self.proto.commit_timeout,
             PbftMsg::CommitTimeout { view, seq },
         );
         self.check_prepared(me, view, seq, digest);
@@ -775,7 +470,7 @@ impl PbftCluster {
     ) {
         let _ = self.cpu.process(me, at, self.proc_per_msg);
         {
-            let node = &mut self.nodes[me.0 as usize];
+            let node = &mut self.proto.nodes[me.0 as usize];
             if view != node.view {
                 return;
             }
@@ -795,7 +490,7 @@ impl PbftCluster {
         let now = self.net.now();
         let should_commit;
         {
-            let node = &mut self.nodes[me.0 as usize];
+            let node = &mut self.proto.nodes[me.0 as usize];
             let slot = node.slots.entry((view, seq)).or_default();
             should_commit = !slot.prepared
                 && slot.digest == Some(digest)
@@ -823,7 +518,7 @@ impl PbftCluster {
             // An equivocating primary finishes its attack: the sibling fork
             // needs its commit vote too.
             if self.primary_of(view) == me {
-                if let Some(&alt) = self.equiv_sibling.get(&(view, seq)) {
+                if let Some(&alt) = self.proto.equiv_sibling.get(&(view, seq)) {
                     if alt != digest {
                         self.net
                             .broadcast_delayed(me, done - now, 64, |_| PbftMsg::Commit {
@@ -851,7 +546,7 @@ impl PbftCluster {
     ) {
         let _ = self.cpu.process(me, at, self.proc_per_msg);
         {
-            let node = &mut self.nodes[me.0 as usize];
+            let node = &mut self.proto.nodes[me.0 as usize];
             if view != node.view {
                 return;
             }
@@ -871,7 +566,7 @@ impl PbftCluster {
         let now = self.net.now();
         let locally_committed;
         {
-            let node = &mut self.nodes[me.0 as usize];
+            let node = &mut self.proto.nodes[me.0 as usize];
             let slot = node.slots.entry((view, seq)).or_default();
             locally_committed = !slot.committed
                 && slot.prepared
@@ -896,26 +591,31 @@ impl PbftCluster {
         // detected.
         self.net.timer(
             me,
-            self.commit_timeout,
+            self.proto.commit_timeout,
             PbftMsg::CommitTimeout { view, seq: seq + 1 },
         );
         // Record this node's local commit; on quorum, finalize cluster-wide.
-        let entry = self.commit_quorum_times.entry((view, seq)).or_default();
+        let entry = self
+            .proto
+            .commit_quorum_times
+            .entry((view, seq))
+            .or_default();
         if !entry.iter().any(|(n, _)| *n == me) {
             entry.push((me, now));
         }
-        if entry.len() as u32 >= quorum && seq == self.next_commit_seq {
-            let committed_at = self.commit_quorum_times[&(view, seq)]
+        if entry.len() as u32 >= quorum && seq == self.proto.next_commit_seq {
+            let committed_at = self.proto.commit_quorum_times[&(view, seq)]
                 .iter()
                 .map(|&(_, t)| t)
                 .max()
                 .unwrap_or(now);
             let batch = self
+                .proto
                 .nodes
                 .iter()
                 .find_map(|n| n.slots.get(&(view, seq)).and_then(|s| s.batch.clone()))
                 .unwrap_or_default();
-            self.next_commit_seq = seq + 1;
+            self.proto.next_commit_seq = seq + 1;
             self.liveness.observe_commit(committed_at);
             for c in &batch {
                 self.committed_txs.insert(c.tx.as_u64());
@@ -930,7 +630,7 @@ impl PbftCluster {
             let next_primary = self.primary_of(view);
             self.net.timer(
                 next_primary,
-                self.publishing_delay,
+                self.proto.publishing_delay,
                 PbftMsg::PublishTimer { view, seq: seq + 1 },
             );
         }
@@ -939,8 +639,8 @@ impl PbftCluster {
     fn on_commit_timeout(&mut self, me: NodeId, view: u64, seq: u64) {
         let has_proposal;
         {
-            let node = &self.nodes[me.0 as usize];
-            if node.view != view || seq < self.next_commit_seq {
+            let node = &self.proto.nodes[me.0 as usize];
+            if node.view != view || seq < self.proto.next_commit_seq {
                 return; // stale timer
             }
             if node.slots.get(&(view, seq)).is_some_and(|s| s.committed) {
@@ -954,7 +654,7 @@ impl PbftCluster {
         if !has_proposal && self.pending.is_empty() {
             self.net.timer(
                 me,
-                self.commit_timeout,
+                self.proto.commit_timeout,
                 PbftMsg::CommitTimeout { view, seq },
             );
             return;
@@ -963,7 +663,7 @@ impl PbftCluster {
         let now = self.net.now();
         let done = self.cpu.process(me, now, self.proc_per_msg);
         {
-            let node = &mut self.nodes[me.0 as usize];
+            let node = &mut self.proto.nodes[me.0 as usize];
             if node.voted_view >= new_view {
                 return;
             }
@@ -983,7 +683,7 @@ impl PbftCluster {
         let is_new_primary = self.primary_of(new_view) == me;
         let reached;
         {
-            let node = &mut self.nodes[me.0 as usize];
+            let node = &mut self.proto.nodes[me.0 as usize];
             if new_view <= node.view {
                 return;
             }
@@ -1003,30 +703,30 @@ impl PbftCluster {
             // The new primary re-proposes pending work.
             self.net.timer(
                 me,
-                self.publishing_delay,
+                self.proto.publishing_delay,
                 PbftMsg::PublishTimer {
                     view: new_view,
-                    seq: self.next_commit_seq,
+                    seq: self.proto.next_commit_seq,
                 },
             );
         }
     }
 
     fn on_new_view(&mut self, me: NodeId, view: u64) {
-        if view > self.nodes[me.0 as usize].view {
+        if view > self.proto.nodes[me.0 as usize].view {
             self.adopt_view(me, view);
-            let seq = self.next_commit_seq;
+            let seq = self.proto.next_commit_seq;
             self.net.timer(
                 me,
-                self.commit_timeout,
+                self.proto.commit_timeout,
                 PbftMsg::CommitTimeout { view, seq },
             );
         }
     }
 
     fn adopt_view(&mut self, me: NodeId, view: u64) {
-        let next = self.next_commit_seq;
-        let node = &mut self.nodes[me.0 as usize];
+        let next = self.proto.next_commit_seq;
+        let node = &mut self.proto.nodes[me.0 as usize];
         node.view = view;
         node.voted_view = node.voted_view.max(view);
         // Outstanding uncommitted slots from older views are abandoned, but
@@ -1043,15 +743,7 @@ impl PbftCluster {
             }
         }
         node.slots.retain(|&(v, _), s| v >= view || s.committed);
-        let reclaimed: Vec<Command> = by_slot.into_values().flatten().collect();
-        if !reclaimed.is_empty() {
-            let mut seen: BTreeSet<u64> = self.pending.iter().map(|c| c.tx.as_u64()).collect();
-            for c in reclaimed {
-                if !self.committed_txs.contains(&c.tx.as_u64()) && seen.insert(c.tx.as_u64()) {
-                    self.pending.push(c);
-                }
-            }
-        }
+        self.reclaim(by_slot.into_values(), false);
     }
 
     fn primary_of(&self, view: u64) -> NodeId {
@@ -1061,20 +753,10 @@ impl PbftCluster {
     }
 }
 
-/// Deterministic digest of a batch proposal.
-fn digest_of(batch: &[Command], view: u64, seq: u64) -> u64 {
-    let mut h = Hasher64::with_key(view ^ (seq << 32));
-    for c in batch {
-        h.write_u64(c.tx.as_u64()).write_u64(c.ops as u64);
-    }
-    h.finish()
-}
-
-/// The conflicting digest an equivocating primary pairs with [`digest_of`]:
-/// same commands, different serialization, so honest replicas see two
-/// irreconcilable proposals for one slot.
-fn sibling_digest_of(batch: &[Command], view: u64, seq: u64) -> u64 {
-    let mut h = Hasher64::with_key(view ^ (seq << 32) ^ 0xB12A_57DE);
+/// Deterministic digest of a batch proposal; `salt` is 0, or
+/// [`SIBLING_SALT`] for an equivocating primary's conflicting sibling.
+fn digest_of(batch: &[Command], view: u64, seq: u64, salt: u64) -> u64 {
+    let mut h = Hasher64::with_key(view ^ (seq << 32) ^ salt);
     for c in batch {
         h.write_u64(c.tx.as_u64()).write_u64(c.ops as u64);
     }
@@ -1084,6 +766,7 @@ fn sibling_digest_of(batch: &[Command], view: u64, seq: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use coconut_simnet::ByzantineBehaviour;
     use coconut_types::{ClientId, TxId};
 
     fn tx(seq: u64) -> Command {

@@ -17,12 +17,11 @@ use coconut_simnet::{FaultEvent, NetConfig, NetSim, NetStats, Topology};
 use coconut_types::{NodeId, SimDuration, SimTime};
 
 use crate::liveness::{LivenessMonitor, LivenessReport};
-use crate::{majority_quorum, BatchConfig, Command, CommittedBatch, CpuModel, Membership};
+use crate::{
+    majority_quorum, BatchConfig, Command, CommittedBatch, CpuModel, Membership, SYNC_BASE,
+    SYNC_PER_BATCH,
+};
 
-/// Base catch-up time a learner spends replicating state before its
-/// `AddVoter` entry is proposed, plus a per-committed-entry transfer cost.
-const SYNC_BASE: SimDuration = SimDuration::from_millis(250);
-const SYNC_PER_BATCH: SimDuration = SimDuration::from_millis(2);
 const RECONFIG_RETRY: SimDuration = SimDuration::from_millis(100);
 
 /// A single-server membership change carried by a log entry (Raft applies
@@ -476,11 +475,6 @@ impl RaftCluster {
         }
         self.net.advance_to(deadline);
         std::mem::take(&mut self.committed)
-    }
-
-    /// Due time of the next internal event, if any.
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        self.net.next_event_time()
     }
 
     fn dispatch(&mut self, me: NodeId, at: SimTime, msg: RaftMsg) {

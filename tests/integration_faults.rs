@@ -82,7 +82,7 @@ fn fabric_halts_without_orderer_majority_and_recovers() {
 fn quorum_tolerates_f_and_halts_at_f_plus_one() {
     // n = 4 → f = 1.
     let mut q = Quorum::new(QuorumConfig::default(), 3);
-    q.crash_validator(NodeId(3));
+    assert!(q.crash_node(NodeId(3)));
     let t = SimTime::ZERO;
     for i in 0..10u64 {
         q.submit(t, tx(i, Payload::DoNothing, t));
@@ -95,8 +95,8 @@ fn quorum_tolerates_f_and_halts_at_f_plus_one() {
     );
 
     let mut q2 = Quorum::new(QuorumConfig::default(), 4);
-    q2.crash_validator(NodeId(2));
-    q2.crash_validator(NodeId(3));
+    assert!(q2.crash_node(NodeId(2)));
+    assert!(q2.crash_node(NodeId(3)));
     for i in 0..10u64 {
         q2.submit(t, tx(i, Payload::DoNothing, t));
     }
@@ -117,7 +117,7 @@ fn sawtooth_view_change_replaces_dead_primary_mid_run() {
     let before = s.run_until(SimTime::from_secs(10));
     assert_eq!(before.iter().filter(|o| o.is_committed()).count(), 5);
     // Kill the current primary; later work must still finalize.
-    s.crash_validator(NodeId(0));
+    assert!(s.crash_node(NodeId(0)));
     let t2 = SimTime::from_secs(10);
     for i in 100..105u64 {
         s.submit(t2, tx(i, Payload::DoNothing, t2));
@@ -143,7 +143,7 @@ fn diem_advances_past_dead_leaders() {
     }
     let before = d.run_until(SimTime::from_secs(10));
     assert_eq!(before.iter().filter(|o| o.is_committed()).count(), 5);
-    d.crash_validator(NodeId(1));
+    assert!(d.crash_node(NodeId(1)));
     let t2 = SimTime::from_secs(10);
     for i in 100..105u64 {
         d.submit(t2, tx(i, Payload::DoNothing, t2));
@@ -185,7 +185,7 @@ fn quorum_round_change_rescues_crashed_proposer_within_timeout() {
     // IBFT's proposer for height 0 is validator 0; crash it before any
     // work so the very first block requires a round change.
     let mut q = Quorum::new(QuorumConfig::default(), 11);
-    q.crash_validator(NodeId(0));
+    assert!(q.crash_node(NodeId(0)));
     let t = SimTime::ZERO;
     for i in 0..10u64 {
         q.submit(t, tx(i, Payload::DoNothing, t));
@@ -218,7 +218,7 @@ fn diem_pacemaker_resumes_within_bounded_time_after_crash() {
 
     // Crash a validator: some following rounds lose their leader, and the
     // pacemaker's timeout certificates must skip them in bounded time.
-    d.crash_validator(NodeId(2));
+    assert!(d.crash_node(NodeId(2)));
     let t2 = SimTime::from_secs(10);
     for i in 100..105u64 {
         d.submit(t2, tx(i, Payload::DoNothing, t2));
